@@ -28,6 +28,10 @@
 //     pc→labels back-map built by ranging the label map.) The canonical
 //     collect-sort-range fix stays clean because the sort call sanctions
 //     the collection.
+//  7. Any map-range loop in the timing packages (cpu, engine, mem). There
+//     the loop body runs simulated events, so map order can reorder them:
+//     the cache once retried unissued fills by ranging its MSHR map, and
+//     cycle counts changed between runs. Keep an ordered slice instead.
 //
 // Usage: uvevet [dir ...] — defaults to the simulation packages. Exit 1
 // when any finding is reported, 0 when clean.
@@ -62,6 +66,10 @@ var defaultDirs = []string{
 	"internal/kernels", "internal/wire", "internal/report",
 	"internal/store",
 }
+
+// timingPackages are the cycle-level model's packages (internal/cpu,
+// internal/engine, internal/mem), where check 7 forbids map ranges.
+var timingPackages = map[string]bool{"cpu": true, "engine": true, "mem": true}
 
 // globalRandFuncs are the math/rand top-level draws backed by the
 // process-global source. Constructors (New, NewSource, NewZipf) are fine.
@@ -178,6 +186,9 @@ func vetFiles(fset *token.FileSet, files []*ast.File) []finding {
 				out = append(out, vetMapRanges(fset, fn, mapFields)...)
 				out = append(out, vetUnsortedCollect(fset, fn, mapFields)...)
 				out = append(out, vetAliasedCapture(fset, fn)...)
+				if timingPackages[f.Name.Name] {
+					out = append(out, vetTimingMapRanges(fset, fn, mapFields)...)
+				}
 			}
 		}
 	}
@@ -304,6 +315,22 @@ func vetMapRanges(fset *token.FileSet, fn *ast.FuncDecl, mapFields map[string]bo
 			}
 			return true
 		})
+		return true
+	})
+	return out
+}
+
+// vetTimingMapRanges flags every map-range loop in a timing package,
+// whatever its body does: in the cycle model the body runs simulated
+// events, and Go randomizes map order.
+func vetTimingMapRanges(fset *token.FileSet, fn *ast.FuncDecl, mapFields map[string]bool) []finding {
+	localMaps := collectLocalMaps(fn)
+	var out []finding
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if rng, ok := n.(*ast.RangeStmt); ok && rangesOverMap(rng.X, localMaps, mapFields) {
+			out = append(out, finding{fset.Position(rng.Pos()),
+				"range over a map in a timing package: map order can reorder simulated events (iterate an ordered slice)"})
+		}
 		return true
 	})
 	return out

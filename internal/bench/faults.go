@@ -85,14 +85,15 @@ func FaultCampaign(o *Options) []FaultRow {
 	}
 	// Job errors land in the affected rows, not a panic: a watchdog trip
 	// is a reportable campaign outcome.
-	rs, err := o.Runner().RunAll(jobs)
+	rs, errs := o.Runner().RunEach(jobs)
 
 	perGroup := 1 + len(faultSeeds)
 	var rows []FaultRow
 	for gi, g := range groups {
 		base := rs[gi*perGroup]
 		for si, seed := range faultSeeds {
-			r := rs[gi*perGroup+1+si]
+			ji := gi*perGroup + 1 + si
+			r := rs[ji]
 			row := FaultRow{
 				ID: g.k.ID, Name: g.k.Name, Variant: g.v, Size: g.size, Seed: seed,
 			}
@@ -105,8 +106,8 @@ func FaultCampaign(o *Options) []FaultRow {
 				row.StateOK = base != nil && r.MemHash == base.MemHash
 			} else {
 				row.Err = "simulation failed"
-				if err != nil {
-					row.Err = err.Error()
+				if errs[ji] != nil {
+					row.Err = errs[ji].Error()
 				}
 			}
 			rows = append(rows, row)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -128,5 +129,26 @@ func TestFaultCampaignSmall(t *testing.T) {
 	}
 	if !strings.Contains(again, "state") {
 		t.Error("campaign table missing header")
+	}
+}
+
+// TestFaultCampaignRowErrors: under a forward-progress bound too tight for
+// any faulted run, every faulted row fails, and each row must carry its own
+// job's diagnostic rather than the first failing job's.
+func TestFaultCampaignRowErrors(t *testing.T) {
+	rows := FaultCampaign(&Options{Scale: 1000, Watchdog: 5})
+	failed := map[string]bool{}
+	for i := range rows {
+		r := &rows[i]
+		if r.Err == "" {
+			continue
+		}
+		failed[r.ID] = true
+		if own := fmt.Sprintf("%s/%s n=%d: %s/%s: ", r.Name, r.Variant, r.Size, r.ID, r.Variant); !strings.HasPrefix(r.Err, own) {
+			t.Errorf("%s/%s seed=%#x carries another job's error: %s", r.ID, r.Variant, r.Seed, r.Err)
+		}
+	}
+	if len(failed) < 2 {
+		t.Fatalf("watchdog tripped in %d kernels, want at least 2", len(failed))
 	}
 }

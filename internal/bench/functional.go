@@ -45,16 +45,12 @@ func FunctionalSweep(o *Options) []FuncRow {
 			jobs = append(jobs, Job{Kernel: k, Variant: v, Size: size, Opts: &fo})
 		}
 	}
-	// Execute the whole matrix in parallel first, then re-fetch each cell
-	// from the memo (instant) so every row carries its own error, not just
-	// RunAll's first one.
-	runner := o.Runner()
-	runner.RunAll(jobs)
+	rs, errs := o.Runner().RunEach(jobs)
 
 	rows := make([]FuncRow, len(cells))
 	for i, c := range cells {
 		rows[i] = FuncRow{ID: c.k.ID, Name: c.k.Name, Variant: c.v, Size: SizeFor(c.k, o)}
-		r, err := runner.Run(jobs[i])
+		r, err := rs[i], errs[i]
 		if r != nil {
 			rows[i].Committed = r.Committed
 			rows[i].MemHash = r.MemHash

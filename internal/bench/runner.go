@@ -193,6 +193,18 @@ func execJob(j Job) (res *sim.Result, err error) {
 // as read-only. The returned error is the first job error in submission
 // order; results for the other jobs are still returned.
 func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
+	results, errs := r.RunEach(jobs)
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
+}
+
+// RunEach is RunAll reporting every job's own outcome: errs[i] is the error
+// of jobs[i] (nil when it succeeded), next to results[i].
+func (r *Runner) RunEach(jobs []Job) (results []*sim.Result, errs []error) {
 	entries := make([]*memoEntry, len(jobs))
 	type work struct {
 		entry *memoEntry
@@ -251,17 +263,14 @@ func (r *Runner) RunAll(jobs []Job) ([]*sim.Result, error) {
 		wg.Wait()
 	}
 
-	results := make([]*sim.Result, len(jobs))
-	var firstErr error
+	results = make([]*sim.Result, len(jobs))
+	errs = make([]error, len(jobs))
 	for i, e := range entries {
 		// Entries owned by a concurrent RunAll may still be in flight.
 		<-e.done
-		results[i] = e.res
-		if e.err != nil && firstErr == nil {
-			firstErr = e.err
-		}
+		results[i], errs[i] = e.res, e.err
 	}
-	return results, firstErr
+	return results, errs
 }
 
 // evictCanceled drops a memo entry whose execution was aborted by context

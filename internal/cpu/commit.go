@@ -29,7 +29,7 @@ func (c *Core) commit() {
 			}
 			c.freePhys(isa.ClassVec, rec.phys)
 		}
-		if e.produce != nil && e.produce.consumed {
+		if e.produce.consumed {
 			c.eng.CommitStore(e.produce.slot, e.produce.seq, c.cycle)
 		}
 		if e.cfgTok != nil {
@@ -64,7 +64,9 @@ func (c *Core) commit() {
 		if c.tracing {
 			c.rec.Emit(trace.Event{Cycle: c.cycle, Kind: trace.EvCommit, Arg0: int64(e.pc), Arg1: e.seq})
 		}
-		if in.Op == isa.OpHalt {
+		halt := in.Op == isa.OpHalt
+		c.robFree = append(c.robFree, e)
+		if halt {
 			c.halted = true
 			c.haltCycle = c.cycle
 			return
@@ -86,8 +88,9 @@ func (c *Core) commitStore(e *robEntry) {
 		c.eng.NoteScalarStore(e.pc, sq.addr, len(sq.lanes)*int(sq.w))
 	}
 	if sq.bytes > 0 {
-		for _, line := range lineSpan(sq.addr, sq.bytes) {
-			c.drainQ = append(c.drainQ, line)
+		last := arch.LineOf(sq.addr + uint64(sq.bytes) - 1)
+		for line := arch.LineOf(sq.addr); line <= last; line += arch.LineSize {
+			c.drainQ = enqueue(c.drainQ, c.drainBuf, line)
 		}
 	}
 	sq.live = false
@@ -96,10 +99,13 @@ func (c *Core) commitStore(e *robEntry) {
 	c.Stats.StoresCommitted++
 }
 
+// removeSQ drops a store's SQ entry, keeping the rest in program order, and
+// recycles it.
 func (c *Core) removeSQ(seq int64) {
 	for i, s := range c.sq {
 		if s.seq == seq {
 			c.sq = append(c.sq[:i], c.sq[i+1:]...)
+			c.sqFree = append(c.sqFree, s)
 			return
 		}
 	}
@@ -156,7 +162,7 @@ func (c *Core) squashAfter(keep int) {
 			c.removeSQ(e.seq)
 			e.sqHeld = false
 		}
-		if e.produce != nil && e.produce.consumed {
+		if e.produce.consumed {
 			c.eng.Unconsume(e.produce.slot, e.produce.prevEnd, e.produce.prevLast)
 		}
 		for j := len(e.consumes) - 1; j >= 0; j-- {
@@ -179,6 +185,7 @@ func (c *Core) squashAfter(keep int) {
 		if e.inst.Op == isa.OpSSetVL {
 			c.serializeInROB = false
 		}
+		c.robFree = append(c.robFree, e)
 	}
 	c.rob = c.rob[:keep+1]
 }

@@ -49,6 +49,10 @@ type streamRec struct {
 	phys     int // temporary vector physical register holding consumed data
 }
 
+// robEntry is one in-flight instruction. Entries are recycled through the
+// core's free list once they retire or are squashed, so a callback that can
+// outlive its instruction (a load's line request) captures seq at issue and
+// checks it on arrival.
 type robEntry struct {
 	seq      int64
 	pc       int
@@ -87,7 +91,6 @@ type robEntry struct {
 	linesPend   int
 	memDone     bool
 	fwdLatency  bool
-	sqIdx       int
 	lqHeld      bool
 	sqHeld      bool
 
@@ -97,7 +100,7 @@ type robEntry struct {
 	storeStamp int64 // engine reservation stamp at rename (load ordering)
 
 	consumes []streamRec
-	produce  *streamRec
+	produce  streamRec // consumed is false when no store chunk was reserved
 	cfgTok   *engine.ConfigToken
 	ctl      bool // stream-control µOp (suspend/resume/stop/force)
 	ctlUndo  engine.CtlUndo
@@ -107,6 +110,15 @@ type robEntry struct {
 
 	fault     bool
 	faultAddr uint64
+}
+
+// lineReq is one line request of a load in flight: the request and the
+// instruction and sequence number it was issued for. Requests are pooled
+// per core; each binds its Done once, when first allocated.
+type lineReq struct {
+	req mem.Req
+	e   *robEntry
+	seq int64
 }
 
 type sqEntry struct {
@@ -137,7 +149,8 @@ type Core struct {
 	fetchPC     int
 	fetchHoldTo int64
 	fetchHalted bool
-	decodeQ     []fetchedInst
+	decodeQ     []fetchedInst // window into decodeBuf (see enqueue)
+	decodeBuf   []fetchedInst
 	// Instruction-fetch timing through the L1-I: the front end stalls when
 	// the current fetch line is not resident.
 	ifetchReadyLine uint64
@@ -167,13 +180,20 @@ type Core struct {
 	prReady  []bool
 	prFree   []int
 
-	rob      []*robEntry
+	rob      []*robEntry // oldest first; window into robBuf (see enqueue)
+	robBuf   []*robEntry
+	robFree  []*robEntry // retired and squashed entries, reused by rename
 	iqCount  int
 	schedCnt [pgCount]int
 	lqCount  int
 
-	sq     []*sqEntry
-	drainQ []uint64 // committed store lines awaiting issue
+	sq       []*sqEntry // program order; preallocated to SQSize
+	sqFree   []*sqEntry
+	drainQ   []uint64 // committed store lines awaiting issue; window into drainBuf
+	drainBuf []uint64
+	storeReq mem.Req // reused for each drained line (Access keeps no pointer)
+
+	lineReqFree []*lineReq
 
 	halted     bool
 	haltCycle  int64
@@ -269,6 +289,13 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 		c.prReady[i] = true
 	}
 	c.prVal[0] = isa.AllLanes // p0 hardwired to all-true
+
+	// Fixed backing arrays: twice each bound, so the sliding windows move
+	// back to the front at most once per bound's worth of dequeues.
+	c.robBuf = make([]*robEntry, 2*cfg.ROBSize)
+	c.decodeBuf = make([]fetchedInst, 2*cfg.DecodeQueue)
+	c.drainBuf = make([]uint64, 2*cfg.SQSize)
+	c.sq = make([]*sqEntry, 0, cfg.SQSize)
 
 	if eng != nil {
 		eng.SyncStoresPending = func() bool {
@@ -571,4 +598,65 @@ func (c *Core) freePhys(class isa.RegClass, p int) {
 	}
 	fl := c.freeListOf(class)
 	*fl = append(*fl, p)
+}
+
+// --- allocation-free queues and entry pools ---
+
+// enqueue appends v to q, a FIFO whose consumer dequeues by reslicing
+// (q = q[1:]) and so slides through its backing array buf. When the window
+// reaches the end of its array it moves back to the front of buf instead of
+// growing, so a queue that stays within half of len(buf) never reallocates
+// (one that outgrows that falls back to append's growth).
+func enqueue[T any](q, buf []T, v T) []T {
+	if len(q) == cap(q) && 2*len(q) <= len(buf) {
+		q = buf[:copy(buf, q)]
+	}
+	return append(q, v)
+}
+
+// newEntry returns a cleared ROB entry, reusing a retired or squashed one
+// (and its slices' capacity) when available. At most ROBSize entries are
+// ever live, which bounds the pool.
+func (c *Core) newEntry() *robEntry {
+	n := len(c.robFree)
+	if n == 0 {
+		return new(robEntry)
+	}
+	e := c.robFree[n-1]
+	c.robFree = c.robFree[:n-1]
+	*e = robEntry{laneAddrs: e.laneAddrs[:0], lines: e.lines[:0], consumes: e.consumes[:0]}
+	return e
+}
+
+// newSQEntry returns a live store-queue entry for seq, reusing a removed one
+// (and its lane buffer) when available.
+func (c *Core) newSQEntry(seq int64) *sqEntry {
+	n := len(c.sqFree)
+	if n == 0 {
+		return &sqEntry{seq: seq, live: true}
+	}
+	s := c.sqFree[n-1]
+	c.sqFree = c.sqFree[:n-1]
+	*s = sqEntry{seq: seq, live: true, lanes: s.lanes[:0]}
+	return s
+}
+
+// newLineReq returns a pooled request for one line of load e. Its Done
+// returns it to the pool and reports the arrival with the sequence number
+// captured here.
+func (c *Core) newLineReq(e *robEntry, line uint64) *lineReq {
+	var r *lineReq
+	if n := len(c.lineReqFree); n > 0 {
+		r = c.lineReqFree[n-1]
+		c.lineReqFree = c.lineReqFree[:n-1]
+	} else {
+		r = new(lineReq)
+		r.req.Done = func(at int64) {
+			c.lineReqFree = append(c.lineReqFree, r)
+			c.loadLineArrived(r.e, r.seq, at)
+		}
+	}
+	r.req.Line, r.req.PC = line, e.pc
+	r.e, r.seq = e, e.seq
+	return r
 }

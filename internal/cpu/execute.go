@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/isa"
@@ -181,7 +182,7 @@ func (c *Core) execute(e *robEntry) {
 		e.addr = c.operandU64(e, 0) + uint64(in.Imm)
 		e.memBytes = int(in.W)
 		e.memLanes = 1
-		e.lines = lineSpan(e.addr, e.memBytes)
+		e.lines = appendLineSpan(e.lines[:0], e.addr, e.memBytes)
 		e.execDoneAt = 0 // completes via the memory phase
 
 	case op == isa.OpVLoad:
@@ -198,7 +199,7 @@ func (c *Core) execute(e *robEntry) {
 			e.memDone = true
 			break
 		}
-		e.lines = lineSpan(e.addr, e.memBytes)
+		e.lines = appendLineSpan(e.lines[:0], e.addr, e.memBytes)
 		e.execDoneAt = 0
 
 	case op == isa.OpVLoadG:
@@ -210,14 +211,11 @@ func (c *Core) execute(e *robEntry) {
 		e.memLanes = lanes
 		e.memBytes = lanes * int(in.W)
 		e.laneAddrs = e.laneAddrs[:0]
-		seen := map[uint64]bool{}
-		e.lines = nil
+		e.lines = e.lines[:0]
 		for l := 0; l < lanes; l++ {
 			a := base + idx.Lane(l)*uint64(in.W)
 			e.laneAddrs = append(e.laneAddrs, a)
-			ln := arch.LineOf(a)
-			if !seen[ln] {
-				seen[ln] = true
+			if ln := arch.LineOf(a); !slices.Contains(e.lines, ln) {
 				e.lines = append(e.lines, ln)
 			}
 		}
@@ -238,7 +236,7 @@ func (c *Core) execute(e *robEntry) {
 			sq.addr = e.addr
 			sq.bytes = e.memBytes
 			sq.w = in.W
-			sq.lanes = []uint64{isa.Truncate(in.W, c.operandU64(e, 2))}
+			sq.lanes = append(sq.lanes[:0], isa.Truncate(in.W, c.operandU64(e, 2)))
 			sq.resolved = true
 		}
 		if _, fault := c.hier.TLB.Translate(e.addr); fault {
@@ -258,7 +256,7 @@ func (c *Core) execute(e *robEntry) {
 			sq.addr = e.addr
 			sq.bytes = e.memBytes
 			sq.w = in.W
-			sq.lanes = append([]uint64(nil), data.L[:lanes]...)
+			sq.lanes = append(sq.lanes[:0], data.L[:lanes]...)
 			sq.resolved = true
 		}
 		if e.memBytes > 0 {
@@ -280,15 +278,13 @@ func (c *Core) readPredSrc(e *robEntry) isa.PredVal {
 	return isa.AllLanes
 }
 
-// lineSpan returns the cache lines covering [addr, addr+bytes).
-func lineSpan(addr uint64, bytes int) []uint64 {
-	first := arch.LineOf(addr)
+// appendLineSpan appends the cache lines covering [addr, addr+bytes) to dst.
+func appendLineSpan(dst []uint64, addr uint64, bytes int) []uint64 {
 	last := arch.LineOf(addr + uint64(bytes) - 1)
-	lines := []uint64{first}
-	for l := first + arch.LineSize; l <= last; l += arch.LineSize {
-		lines = append(lines, l)
+	for l := arch.LineOf(addr); l <= last; l += arch.LineSize {
+		dst = append(dst, l)
 	}
-	return lines
+	return dst
 }
 
 // loadEligible reports whether a ROB entry is a load the memory phase still
@@ -383,12 +379,11 @@ func (c *Core) memPhase() {
 		}
 		// Issue outstanding line requests within port bandwidth.
 		for e.linesIssued < len(e.lines) && ports > 0 {
-			line := e.lines[e.linesIssued]
-			ee := e
-			req := &mem.Req{Line: line, PC: e.pc, Done: func(at int64) { c.loadLineArrived(ee, at) }}
-			ok := c.hier.Access(c.cycle, req)
+			r := c.newLineReq(e, e.lines[e.linesIssued])
+			ok := c.hier.Access(c.cycle, &r.req)
 			c.activity++ // both outcomes mutate: issue, or a reject tally below
 			if !ok {
+				c.lineReqFree = append(c.lineReqFree, r)
 				break
 			}
 			e.linesIssued++
@@ -403,10 +398,13 @@ func overlaps(a uint64, an int, b uint64, bn int) bool {
 }
 
 // loadLineArrived completes one line of a load; when all lines are in, the
-// value is read functionally and writeback scheduled.
-func (c *Core) loadLineArrived(e *robEntry, now int64) {
+// value is read functionally and writeback scheduled. The request may
+// outlive its instruction: once squashed, the entry is recycled and can
+// hold a younger instruction, so the arrival must match the sequence number
+// captured at issue.
+func (c *Core) loadLineArrived(e *robEntry, seq int64, now int64) {
 	c.activity++
-	if e.squashed || e.memDone {
+	if e.seq != seq || e.squashed || e.memDone {
 		return
 	}
 	e.linesPend--
@@ -426,13 +424,13 @@ func (c *Core) loadLineArrived(e *robEntry, now int64) {
 		for i := range lanes {
 			lanes[i] = c.hier.Mem.Read(e.addr+uint64(i)*uint64(w), w)
 		}
-		e.resVec = isa.VecFrom(w, lanes)
+		e.resVec = isa.VecVal{W: w, N: len(lanes), L: lanes}
 	case isa.OpVLoadG:
 		lanes := make([]uint64, len(e.laneAddrs))
 		for i, a := range e.laneAddrs {
 			lanes[i] = c.hier.Mem.Read(a, w)
 		}
-		e.resVec = isa.VecFrom(w, lanes)
+		e.resVec = isa.VecVal{W: w, N: len(lanes), L: lanes}
 	}
 	e.execDoneAt = now + 1
 }
@@ -457,7 +455,7 @@ func (c *Core) complete() {
 		if e.dstClass != isa.ClassNone {
 			c.writePhys(e.dstClass, e.newPhys, e.resVal, e.resVec, e.resPred)
 		}
-		if e.produce != nil && e.produce.consumed && c.eng != nil {
+		if e.produce.consumed && c.eng != nil {
 			c.eng.WriteStoreData(e.produce.slot, e.produce.seq, e.resVec)
 		}
 		if e.isBranch && !e.brResolved {
@@ -487,9 +485,8 @@ func (c *Core) complete() {
 // drainStores issues committed (senior) store lines to the memory system.
 func (c *Core) drainStores() {
 	for n := 0; n < c.cfg.StorePorts && len(c.drainQ) > 0; n++ {
-		line := c.drainQ[0]
-		req := &mem.Req{Line: line, Write: true}
-		ok := c.hier.Access(c.cycle, req)
+		c.storeReq = mem.Req{Line: c.drainQ[0], Write: true}
+		ok := c.hier.Access(c.cycle, &c.storeReq)
 		c.activity++ // both outcomes mutate: a drained line, or a reject tally
 		if !ok {
 			return

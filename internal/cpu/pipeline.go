@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"repro/internal/arch"
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -115,7 +116,7 @@ func (c *Core) fetch() {
 				next = in.Target
 			}
 		}
-		c.decodeQ = append(c.decodeQ, fetchedInst{pc: c.fetchPC, predTaken: pred})
+		c.decodeQ = enqueue(c.decodeQ, c.decodeBuf, fetchedInst{pc: c.fetchPC, predTaken: pred})
 		c.fetchPC = next
 		c.activity++
 		if in.Op == isa.OpHalt {
@@ -222,19 +223,20 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 		u    int
 		slot int
 	}
-	var consumes []consumePlan
+	var plans [3]consumePlan
+	consumes := plans[:0]
 	produceSlot := -1
 	if c.eng != nil && regOperands(in.Op) {
-		seen := map[uint8]bool{}
+		var seen uint32 // vector registers already planned (NumVecRegs = 32)
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
-			if r.Class != isa.ClassVec || seen[r.N] {
+			if r.Class != isa.ClassVec || seen&(1<<r.N) != 0 {
 				continue
 			}
 			// The destructive read of the old destination in fmla-style ops
 			// is a regular register read, not a stream consume, when the
 			// destination is an output stream.
 			if slot, ok := c.eng.StreamFor(int(r.N)); ok && c.eng.IsLoad(slot) {
-				seen[r.N] = true
+				seen |= 1 << r.N
 				consumes = append(consumes, consumePlan{u: int(r.N), slot: slot})
 			}
 		}
@@ -278,28 +280,31 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 		}
 	}
 
-	e := &robEntry{
-		seq:       c.seq,
-		pc:        f.pc,
-		inst:      in,
-		predTaken: f.predTaken,
-		group:     group,
-		isBranch:  in.Op.IsBranch(),
-		isMem:     isMem,
-		isLoad:    isLoad,
-		memW:      in.W,
-		sqIdx:     -1,
-	}
+	seq := c.seq
 	c.seq++
 
-	// Stream configuration µOps enter the SCROB at rename.
+	// Stream configuration µOps enter the SCROB at rename. A full SCROB
+	// still consumes the sequence number (maybeSkip relies on that).
+	var cfgTok *engine.ConfigToken
 	if in.Op == isa.OpSCfg {
 		tok, ok := c.eng.RenameConfigPart(in.Cfg)
 		if !ok {
 			return BlockSCROB
 		}
-		e.cfgTok = tok
+		cfgTok = tok
 	}
+
+	e := c.newEntry()
+	e.seq = seq
+	e.pc = f.pc
+	e.inst = in
+	e.predTaken = f.predTaken
+	e.group = group
+	e.isBranch = in.Op.IsBranch()
+	e.isMem = isMem
+	e.isLoad = isLoad
+	e.memW = in.W
+	e.cfgTok = cfgTok
 
 	// Resolve sources through the RAT (or through stream consumes).
 	if regOperands(in.Op) {
@@ -343,12 +348,11 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 			if !ok {
 				panic("cpu: CanReserve/ReserveStore disagree")
 			}
-			rec := streamRec{
+			e.produce = streamRec{
 				slot: produceSlot, seq: view.Seq,
 				prevEnd: view.PrevEnd, prevLast: view.PrevLast,
 				consumed: view.Consumed, n: view.N,
 			}
-			e.produce = &rec
 			if view.Fault {
 				e.fault = true
 				e.faultAddr = view.FaultAddr
@@ -410,14 +414,12 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 		}
 	}
 	if isMem && !isLoad {
-		sqe := &sqEntry{seq: e.seq, live: true}
-		c.sq = append(c.sq, sqe)
-		e.sqIdx = len(c.sq) - 1
+		c.sq = append(c.sq, c.newSQEntry(e.seq))
 		e.sqHeld = true
 	}
 	c.iqCount++
 	c.schedCnt[group]++
-	c.rob = append(c.rob, e)
+	c.rob = enqueue(c.rob, c.robBuf, e)
 	return BlockNone
 }
 

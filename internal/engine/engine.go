@@ -153,13 +153,14 @@ func (c *chunk) reset(seq, startElem int64) {
 // loadReady reports whether a load chunk's data can be handed to the core.
 func (c *chunk) loadReady() bool { return c.closed && c.pendLines == 0 }
 
+// lineFetch is one MRQ line request. Fetches are recycled through the
+// engine's free list once their line arrives; each owns the request it
+// sends, whose Done is bound to the fetch when it is first allocated.
 type lineFetch struct {
-	line    uint64
+	req     mem.Req // Line, MinLevel (the stream's level) and PC tag
 	issued  bool
 	slot    int
 	epoch   uint64
-	level   arch.CacheLevel
-	pc      int
 	waiters []laneRef
 	// Injected-NACK bookkeeping: a NACKed request backs off until retryAt;
 	// nacks counts injections so the plan's retry bound can cap them.
@@ -330,8 +331,12 @@ type Engine struct {
 
 	vecBytes     int // effective vector length (ss.setvl), affects new configs
 	mrq          []*lineFetch
+	fetchFree    []*lineFetch
 	storeQ       []storeLine
+	storeReq     mem.Req    // reused for each drained line (Access keeps no pointer)
 	rr           int        // scheduler round-robin cursor
+	cand         []*stream  // scheduler scratch: this cycle's candidates
+	chunkLines   []uint64   // scratch: a store chunk's distinct lines
 	reserveStamp int64      // monotonically counts store reservations
 	lastFlags    []flagPair // final flags of released streams, by logical reg
 

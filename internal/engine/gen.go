@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/descriptor"
@@ -234,7 +234,6 @@ func (e *Engine) ensureLine(s *stream, line uint64, now int64) bool {
 		}
 		return false
 	}
-	f := &lineFetch{line: line, slot: s.slot, epoch: s.epoch, level: s.level, pc: -(1000 + s.slot)}
 	// Translation happens at the arbiter (paper Fig 7.A); a page fault
 	// flags the affected elements instead of issuing a request.
 	if _, fault := e.hier.TLB.Translate(line); fault {
@@ -245,6 +244,9 @@ func (e *Engine) ensureLine(s *stream, line uint64, now int64) bool {
 		return true
 	}
 	s.lastFault = false
+	f := e.newFetch()
+	f.slot, f.epoch = s.slot, s.epoch
+	f.req.Line, f.req.MinLevel, f.req.PC = line, s.level, -(1000 + s.slot)
 	e.mrq = append(e.mrq, f)
 	e.Stats.LineRequests++
 	s.lineReqs++
@@ -255,6 +257,20 @@ func (e *Engine) ensureLine(s *stream, line uint64, now int64) bool {
 	s.lastLineState = 1
 	s.lastFetch = f
 	return true
+}
+
+// newFetch returns a cleared line fetch, reusing an arrived one (with its
+// waiter buffer and bound request) when available.
+func (e *Engine) newFetch() *lineFetch {
+	if n := len(e.fetchFree); n > 0 {
+		f := e.fetchFree[n-1]
+		e.fetchFree = e.fetchFree[:n-1]
+		*f = lineFetch{req: mem.Req{Done: f.req.Done}, waiters: f.waiters[:0]}
+		return f
+	}
+	f := new(lineFetch)
+	f.req.Done = func(at int64) { e.lineArrived(f, at) }
+	return f
 }
 
 // placeElem appends one element to the building chunk, wiring its data
@@ -314,19 +330,20 @@ func (e *Engine) closeChunk(s *stream, c *chunk, el descriptor.Elem) {
 		e.Stats.ChunksStored++
 		// Store addresses are translated when generated; faults surface
 		// when the chunk is reserved/committed.
-		seen := map[uint64]bool{}
+		seen := e.chunkLines[:0]
 		for _, a := range c.addrs {
 			l := arch.LineOf(a)
-			if seen[l] {
+			if slices.Contains(seen, l) {
 				continue
 			}
-			seen[l] = true
+			seen = append(seen, l)
 			if _, fault := e.hier.TLB.Translate(l); fault {
 				e.Stats.PageFaults++
 				c.fault = true
 				c.faultAddr = a
 			}
 		}
+		e.chunkLines = seen
 		// Settle origin debt for the origins this store stream gathers from.
 	}
 	s.settleOrigins()
@@ -559,18 +576,19 @@ func (e *Engine) CommitStore(slot int, seq int64, now int64) {
 	for i := 0; i < c.n; i++ {
 		e.hier.Mem.Write(c.addrs[i], s.w, c.data[i])
 	}
-	seen := map[uint64]bool{}
+	seen := e.chunkLines[:0]
 	for _, a := range c.addrs {
 		l := arch.LineOf(a)
-		if seen[l] {
+		if slices.Contains(seen, l) {
 			continue
 		}
-		seen[l] = true
+		seen = append(seen, l)
 		e.storeQ = append(e.storeQ, storeLine{line: l, level: s.level, s: s})
 		s.pendingStoreLines++
 		e.Stats.StoreLines++
 		s.storeLineCnt++
 	}
+	e.chunkLines = seen
 	e.Stats.ElementsStored += uint64(c.n)
 	s.committedElems += int64(c.n)
 	s.commitEnd, s.commitLast = c.end, c.last
@@ -818,26 +836,34 @@ func (e *Engine) originStalled(s *stream) bool {
 
 // schedule picks the NumModules streams with the lowest FIFO occupancy
 // (paper: "streams with lower FIFO occupancy take precedence") and runs one
-// generation step on each.
+// generation step on each. Ties go round-robin by slot, so the order is
+// total; the candidates are sorted in the engine's scratch slice.
 func (e *Engine) schedule(now int64) {
-	var cand []*stream
+	cand := e.cand[:0]
 	for _, s := range e.entries {
 		if s != nil && s.desc != nil && s.wantsGen(now) {
 			cand = append(cand, s)
 		}
 	}
+	e.cand = cand
 	if len(cand) == 0 {
 		return
 	}
 	rr := e.rr
 	e.rr++
-	sort.SliceStable(cand, func(i, j int) bool {
-		oi, oj := cand[i].occupancy(), cand[j].occupancy()
-		if oi != oj {
-			return oi < oj
+	less := func(a, b *stream) bool {
+		oa, ob := a.occupancy(), b.occupancy()
+		if oa != ob {
+			return oa < ob
 		}
-		return (cand[i].slot+rr)%len(e.entries) < (cand[j].slot+rr)%len(e.entries)
-	})
+		return (a.slot+rr)%len(e.entries) < (b.slot+rr)%len(e.entries)
+	}
+	// Stable insertion sort: a handful of candidates, no allocation.
+	for i := 1; i < len(cand); i++ {
+		for j := i; j > 0 && less(cand[j], cand[j-1]); j-- {
+			cand[j], cand[j-1] = cand[j-1], cand[j]
+		}
+	}
 	n := e.cfg.NumModules
 	if n > len(cand) {
 		n = len(cand)
@@ -869,21 +895,22 @@ func (e *Engine) issueMRQ(now int64) {
 				f.nacks++
 				f.retryAt = now + backoff
 				if e.tracing {
-					e.rec.Emit(trace.Event{Cycle: now, Kind: trace.EvInject, Arg0: trace.InjNack, Arg1: int64(f.slot), Arg2: int64(f.line)})
+					e.rec.Emit(trace.Event{Cycle: now, Kind: trace.EvInject, Arg0: trace.InjNack, Arg1: int64(f.slot), Arg2: int64(f.req.Line)})
 				}
 				continue
 			}
 		}
-		ff := f
-		req := &mem.Req{Line: ff.line, MinLevel: ff.level, PC: ff.pc, Done: func(at int64) { e.lineArrived(ff, at) }}
-		if !e.hier.Access(now, req) {
+		if !e.hier.Access(now, &f.req) {
 			return
 		}
-		ff.issued = true
+		f.issued = true
 		budget--
 	}
 }
 
+// lineArrived delivers a fetched line to its waiting lanes and recycles the
+// fetch: the hierarchy is done with its request, and the MRQ and the
+// stream's lastFetch no longer refer to it.
 func (e *Engine) lineArrived(f *lineFetch, now int64) {
 	e.activity++
 	for i, q := range e.mrq {
@@ -892,24 +919,24 @@ func (e *Engine) lineArrived(f *lineFetch, now int64) {
 			break
 		}
 	}
-	s := e.entries[f.slot]
-	if s == nil || s.epoch != f.epoch {
-		return // stream was squashed/stopped; drop the data
-	}
-	for _, wr := range f.waiters {
-		c := &s.fifo[wr.seq%int64(len(s.fifo))]
-		if c.seq != wr.seq {
-			continue
+	// A squashed or stopped stream (epoch moved on) drops the data.
+	if s := e.entries[f.slot]; s != nil && s.epoch == f.epoch {
+		for _, wr := range f.waiters {
+			c := &s.fifo[wr.seq%int64(len(s.fifo))]
+			if c.seq != wr.seq {
+				continue
+			}
+			c.data[wr.lane] = e.hier.Mem.Read(wr.addr, s.w)
+			c.pendLines--
 		}
-		c.data[wr.lane] = e.hier.Mem.Read(wr.addr, s.w)
-		c.pendLines--
-	}
-	if s.lastFetch == f {
-		s.lastFetch = nil
-		if s.lastLine == f.line {
-			s.lastLineState = 2
+		if s.lastFetch == f {
+			s.lastFetch = nil
+			if s.lastLine == f.req.Line {
+				s.lastLineState = 2
+			}
 		}
 	}
+	e.fetchFree = append(e.fetchFree, f)
 }
 
 // drainStore issues one committed store line per cycle through the engine's
@@ -919,8 +946,8 @@ func (e *Engine) drainStore(now int64) {
 		return
 	}
 	sl := e.storeQ[0]
-	req := &mem.Req{Line: sl.line, Write: true, MinLevel: storeLevel(sl.level)}
-	if !e.hier.Access(now, req) {
+	e.storeReq = mem.Req{Line: sl.line, Write: true, MinLevel: storeLevel(sl.level)}
+	if !e.hier.Access(now, &e.storeReq) {
 		return
 	}
 	e.storeQ = e.storeQ[1:]

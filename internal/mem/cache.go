@@ -76,12 +76,16 @@ type wayEntry struct {
 	prefetched bool
 }
 
+// mshr is one outstanding miss. MSHRs are recycled through the cache's
+// free list; each owns the fill request it sends below and that request's
+// completion callback, built once when the MSHR is first allocated.
 type mshr struct {
 	line   uint64
 	write  bool
 	dones  []func(int64)
 	issued bool
 	demand bool
+	fill   Req
 }
 
 type timedDone struct {
@@ -96,9 +100,10 @@ type Cache struct {
 	upper *Cache // next level toward the core, for back-invalidation
 	pf    Prefetcher
 
-	sets     [][]wayEntry
+	ways     []wayEntry // numSets sets of cfg.Ways entries, set-major
 	numSets  uint64
-	mshrs    map[uint64]*mshr
+	mshrs    []*mshr // outstanding misses in allocation order (≤ cfg.MSHRs)
+	mshrFree []*mshr
 	wbQueue  []*Req
 	pfQueue  []uint64
 	pending  []timedDone
@@ -115,19 +120,15 @@ func NewCache(cfg CacheConfig, lower Port) *Cache {
 	if numSets < 1 {
 		numSets = 1
 	}
-	sets := make([][]wayEntry, numSets)
-	for i := range sets {
-		sets[i] = make([]wayEntry, cfg.Ways)
-	}
 	if cfg.PrefetchQueue == 0 {
 		cfg.PrefetchQueue = 16
 	}
 	return &Cache{
 		cfg:     cfg,
 		lower:   lower,
-		sets:    sets,
+		ways:    make([]wayEntry, numSets*cfg.Ways),
 		numSets: uint64(numSets),
-		mshrs:   make(map[uint64]*mshr),
+		mshrs:   make([]*mshr, 0, cfg.MSHRs),
 	}
 }
 
@@ -142,7 +143,8 @@ func (c *Cache) SetPrefetcher(p Prefetcher) { c.pf = p }
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
 func (c *Cache) setOf(line uint64) []wayEntry {
-	return c.sets[(line/arch.LineSize)%c.numSets]
+	i := int((line/arch.LineSize)%c.numSets) * c.cfg.Ways
+	return c.ways[i : i+c.cfg.Ways]
 }
 
 func (c *Cache) lookup(line uint64) *wayEntry {
@@ -213,7 +215,7 @@ func (c *Cache) Access(now int64, r *Req) bool {
 	}
 
 	// Miss: merge into an existing MSHR if one is outstanding.
-	if ms, ok := c.mshrs[line]; ok {
+	if ms := c.mshrFor(line); ms != nil {
 		c.accepted++
 		c.Stats.Hits++ // secondary miss, already in flight
 		if r.Write {
@@ -234,11 +236,12 @@ func (c *Cache) Access(now int64, r *Req) bool {
 	}
 	c.accepted++
 	c.Stats.Misses++
-	ms := &mshr{line: line, write: r.Write, demand: !r.Prefetch}
+	ms := c.allocMSHR(line)
+	ms.write = r.Write
+	ms.demand = !r.Prefetch
 	if r.Done != nil {
 		ms.dones = append(ms.dones, r.Done)
 	}
-	c.mshrs[line] = ms
 	c.issueFill(now, ms)
 	c.observe(now, line, r.PC, false)
 	return true
@@ -253,33 +256,69 @@ func (c *Cache) observe(now int64, line uint64, pc int, hit bool) {
 			break
 		}
 		l &= arch.LineMask
-		if c.lookup(l) != nil {
-			continue
-		}
-		if _, inflight := c.mshrs[l]; inflight {
+		if c.lookup(l) != nil || c.mshrFor(l) != nil {
 			continue
 		}
 		c.pfQueue = append(c.pfQueue, l)
 	}
 }
 
+// mshrFor returns the outstanding MSHR for line, or nil.
+func (c *Cache) mshrFor(line uint64) *mshr {
+	for _, ms := range c.mshrs {
+		if ms.line == line {
+			return ms
+		}
+	}
+	return nil
+}
+
+// allocMSHR appends a cleared MSHR for line, reusing a freed one when
+// available. The caller has checked that fewer than cfg.MSHRs are live.
+func (c *Cache) allocMSHR(line uint64) *mshr {
+	var ms *mshr
+	if n := len(c.mshrFree); n > 0 {
+		ms = c.mshrFree[n-1]
+		c.mshrFree = c.mshrFree[:n-1]
+	} else {
+		ms = new(mshr)
+		ms.fill.Done = func(done int64) { c.fill(done, ms.line) }
+	}
+	ms.line, ms.write, ms.issued, ms.demand = line, false, false, false
+	ms.fill.Line = line
+	c.mshrs = append(c.mshrs, ms)
+	return ms
+}
+
+// freeMSHR removes ms, keeping the rest in allocation order, and recycles
+// it. Its fill request is no longer referenced below: either it was never
+// issued, or the lower level has completed it.
+func (c *Cache) freeMSHR(ms *mshr) {
+	for i, m := range c.mshrs {
+		if m == ms {
+			c.mshrs = append(c.mshrs[:i], c.mshrs[i+1:]...)
+			break
+		}
+	}
+	ms.dones = ms.dones[:0]
+	c.mshrFree = append(c.mshrFree, ms)
+}
+
 func (c *Cache) issueFill(now int64, ms *mshr) {
 	if ms.issued {
 		return
 	}
-	fill := &Req{Line: ms.line, Done: func(done int64) { c.fill(done, ms.line) }}
-	if c.lower.Access(now, fill) {
+	if c.lower.Access(now, &ms.fill) {
 		ms.issued = true
 	}
 }
 
 // fill installs a line when the lower level responds.
 func (c *Cache) fill(now int64, line uint64) {
-	ms, ok := c.mshrs[line]
-	if !ok {
+	ms := c.mshrFor(line)
+	if ms == nil {
 		return
 	}
-	delete(c.mshrs, line)
 	set := c.setOf(line)
 	victim := &set[0]
 	for i := range set {
@@ -308,6 +347,7 @@ func (c *Cache) fill(now int64, line uint64) {
 	for _, done := range ms.dones {
 		c.schedule(now+int64(c.cfg.HitLatency), done)
 	}
+	c.freeMSHR(ms)
 }
 
 func (c *Cache) evict(now int64, e *wayEntry) {
@@ -379,7 +419,7 @@ func (c *Cache) Tick(now int64) {
 	c.accepted = 0
 	c.lastTick = now
 
-	// Retry unissued fills and queued writebacks.
+	// Retry unissued fills, oldest first, and queued writebacks.
 	for _, ms := range c.mshrs {
 		if !ms.issued {
 			c.activity++ // issue, or the lower level's reject tally
@@ -397,19 +437,14 @@ func (c *Cache) Tick(now int64) {
 	for len(c.pfQueue) > 0 && c.accepted < c.cfg.AcceptsPerCycle && len(c.mshrs) < c.cfg.MSHRs {
 		c.activity++
 		line := c.pfQueue[0]
-		if c.lookup(line) != nil {
+		if c.lookup(line) != nil || c.mshrFor(line) != nil {
 			c.pfQueue = c.pfQueue[1:]
 			continue
 		}
-		if _, inflight := c.mshrs[line]; inflight {
-			c.pfQueue = c.pfQueue[1:]
-			continue
-		}
-		ms := &mshr{line: line}
-		c.mshrs[line] = ms
+		ms := c.allocMSHR(line)
 		c.issueFill(now, ms)
 		if !ms.issued {
-			delete(c.mshrs, line)
+			c.freeMSHR(ms)
 			break
 		}
 		c.Stats.PrefetchIssued++

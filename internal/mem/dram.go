@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/arch"
@@ -47,23 +46,19 @@ type DRAM struct {
 }
 
 type dramChannel struct {
-	queue  *list.List // of *dramReq
-	freeAt int64      // cycle the data bus becomes free
+	queue  []dramReq // arrival order, at most QueueDepth
+	freeAt int64     // cycle the data bus becomes free
 }
 
 type dramReq struct {
-	req     *Req
+	req     Req // a copy: Access keeps no pointer to the caller's request
 	doneAt  int64
 	started bool
 }
 
 // NewDRAM builds the DRAM model.
 func NewDRAM(cfg DRAMConfig) *DRAM {
-	d := &DRAM{cfg: cfg, chans: make([]dramChannel, cfg.Channels)}
-	for i := range d.chans {
-		d.chans[i].queue = list.New()
-	}
-	return d
+	return &DRAM{cfg: cfg, chans: make([]dramChannel, cfg.Channels)}
 }
 
 func (d *DRAM) channelOf(line uint64) int {
@@ -74,11 +69,11 @@ func (d *DRAM) channelOf(line uint64) int {
 func (d *DRAM) Access(now int64, r *Req) bool {
 	d.activity++ // enqueue, or the queue-full tally
 	ch := &d.chans[d.channelOf(r.Line)]
-	if ch.queue.Len() >= d.cfg.QueueDepth {
+	if len(ch.queue) >= d.cfg.QueueDepth {
 		d.Stats.QueueFullStalls++
 		return false
 	}
-	ch.queue.PushBack(&dramReq{req: r})
+	ch.queue = append(ch.queue, dramReq{req: *r})
 	return true
 }
 
@@ -89,8 +84,8 @@ func (d *DRAM) Tick(now int64) {
 	for i := range d.chans {
 		ch := &d.chans[i]
 		// Start the oldest unstarted request if the bus is free.
-		for e := ch.queue.Front(); e != nil; e = e.Next() {
-			dr := e.Value.(*dramReq)
+		for j := range ch.queue {
+			dr := &ch.queue[j]
 			if dr.started {
 				continue
 			}
@@ -115,18 +110,19 @@ func (d *DRAM) Tick(now int64) {
 			}
 			break
 		}
-		// Retire finished requests.
-		for e := ch.queue.Front(); e != nil; {
-			next := e.Next()
-			dr := e.Value.(*dramReq)
-			if dr.started && dr.doneAt <= now {
-				d.activity++
-				ch.queue.Remove(e)
-				if dr.req.Done != nil {
-					dr.req.Done(now)
-				}
+		// Retire finished requests, oldest first. A completion callback
+		// may enqueue a new (unstarted) request behind the scan.
+		for j := 0; j < len(ch.queue); {
+			if dr := &ch.queue[j]; !dr.started || dr.doneAt > now {
+				j++
+				continue
 			}
-			e = next
+			d.activity++
+			done := ch.queue[j].req.Done
+			ch.queue = append(ch.queue[:j], ch.queue[j+1:]...)
+			if done != nil {
+				done(now)
+			}
 		}
 	}
 }
@@ -151,7 +147,7 @@ func (d *DRAM) Utilization(cycles int64) float64 {
 func (d *DRAM) Pending() int {
 	n := 0
 	for i := range d.chans {
-		n += d.chans[i].queue.Len()
+		n += len(d.chans[i].queue)
 	}
 	return n
 }

@@ -16,8 +16,8 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 	next := NoEvent
 	for i := range d.chans {
 		ch := &d.chans[i]
-		for e := ch.queue.Front(); e != nil; e = e.Next() {
-			dr := e.Value.(*dramReq)
+		for j := range ch.queue {
+			dr := &ch.queue[j]
 			if !dr.started {
 				t := ch.freeAt
 				if t <= now {

@@ -27,7 +27,9 @@ type Req struct {
 type Port interface {
 	// Access submits a request. It returns false when the component cannot
 	// accept it this cycle (ports busy, MSHRs or queues full); the caller
-	// must retry on a later cycle.
+	// must retry on a later cycle. Access keeps no pointer to r: whatever
+	// it queues, it copies (it may keep r.Done until it calls it), so the
+	// caller may reuse r as soon as Access returns.
 	Access(now int64, r *Req) bool
 	// Tick advances internal state by one cycle.
 	Tick(now int64)
