@@ -2,14 +2,14 @@
 # vets, builds, statically verifies every kernel program (uvelint), runs the
 # full test suite under the race detector (which exercises the parallel
 # experiment runner), smoke-runs the Fig 8 benchmark once, and checks the
-# execution-tier, trace, fault-campaign and watchdog smokes, and gates
+# execution-tier, trace, fault-campaign, watchdog and examples smokes, and gates
 # wall-clock against the committed BENCH_simwall.json baseline.
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race fuzz-smoke bench-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke perf-smoke perf-baseline bench experiments
+.PHONY: check fmt vet lint build test race fuzz-smoke bench-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke examples-smoke perf-smoke perf-baseline bench experiments
 
-check: fmt vet build lint race fuzz-smoke bench-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke perf-smoke
+check: fmt vet build lint race fuzz-smoke bench-smoke tier-smoke trace-smoke fault-smoke watchdog-smoke wire-smoke model-smoke prove-smoke serve-smoke examples-smoke perf-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on: $$out"; exit 1; fi
@@ -158,6 +158,16 @@ prove-smoke:
 # over the same store directory serves everything from disk (hit rate > 0).
 serve-smoke:
 	./scripts/servesmoke.sh
+
+# Examples smoke: every program under examples/ — the public uve API's
+# end-to-end users besides the uve_*_test.go suites — builds, exits zero
+# and prints byte-identical output on two runs.
+examples-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/bin/" ./examples/... && \
+	for ex in "$$dir"/bin/*; do \
+	    "$$ex" > "$$dir/out1" && "$$ex" > "$$dir/out2" && cmp "$$dir/out1" "$$dir/out2" || exit 1; \
+	done
 
 # Full custom-metric benchmark sweep (§VI figures as benchmark units).
 bench:

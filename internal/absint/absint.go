@@ -483,7 +483,7 @@ func (a *analysis) streamEligible(u int) (cfgSite, bool) {
 // as a vector destination (mirrors funcsim's consume/produce rule).
 func (a *analysis) advancesStream(pc, u int) bool {
 	in := &a.insts[pc]
-	if !regOperands(in.Op) {
+	if !in.Op.HasDataOperands() {
 		return false
 	}
 	kind, known := a.kindOf[u]
@@ -499,17 +499,6 @@ func (a *analysis) advancesStream(pc, u int) bool {
 		return false
 	}
 	return in.Dst.Class == isa.ClassVec && int(in.Dst.N) == u
-}
-
-// regOperands mirrors funcsim: stream cfg/ctl ops and stream branches name
-// streams, not register values.
-func regOperands(op isa.Op) bool {
-	switch op {
-	case isa.OpSCfg, isa.OpSSuspend, isa.OpSResume, isa.OpSStop, isa.OpSForce,
-		isa.OpSBNotEnd, isa.OpSBEnd, isa.OpSBDimNotEnd, isa.OpSBDimEnd:
-		return false
-	}
-	return true
 }
 
 // reachableInBody is a DFS over the loop body with this loop's back edges
@@ -965,7 +954,7 @@ func (a *analysis) flow(pc int, cur state) []state {
 	case op.Kind() == isa.KindIntALU:
 		a.defInt(&s, in.Dst, EvalOp(op, s.reg(in.Src1), s.reg(in.Src2), in.Imm))
 	default:
-		if in.Dst.Class == isa.ClassInt && regOperands(op) {
+		if in.Dst.Class == isa.ClassInt && op.HasDataOperands() {
 			a.defInt(&s, in.Dst, Top()) // loads, ftoi, flt/fle, …
 		}
 		if in.Dst.Class == isa.ClassPred {

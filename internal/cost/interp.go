@@ -198,7 +198,7 @@ func (in *interp) step(pc int) (next int, halt bool) {
 	next = pc + 1
 
 	var prod *astream
-	if regOperands(op) {
+	if op.HasDataOperands() {
 		seen := [3]int{-1, -1, -1}
 		for _, r := range [...]isa.Reg{inst.Src1, inst.Src2, inst.Src3} {
 			if r.Class != isa.ClassVec {
@@ -450,17 +450,6 @@ func (in *interp) noteWriteSpan(addr uint64, bytes int) {
 	for l := first; l <= last; l += arch.LineSize {
 		in.writeLines[l] = struct{}{}
 	}
-}
-
-// regOperands mirrors the core's rule: stream configuration/control and
-// stream branches name streams, not register values.
-func regOperands(op isa.Op) bool {
-	switch op {
-	case isa.OpSCfg, isa.OpSSuspend, isa.OpSResume, isa.OpSStop, isa.OpSForce,
-		isa.OpSBNotEnd, isa.OpSBEnd, isa.OpSBDimNotEnd, isa.OpSBDimEnd:
-		return false
-	}
-	return true
 }
 
 // configPart mirrors funcsim.configPart: the End part rebuilds the

@@ -143,18 +143,6 @@ func (c *Core) redirect(pc int, penalty int) {
 
 // --- rename/dispatch (where UVE streams meet the pipeline, paper §IV-A) ---
 
-// regOperands reports whether the instruction's register fields are real
-// data operands. Stream configuration/control and stream branches name
-// streams, not register values.
-func regOperands(op isa.Op) bool {
-	switch op {
-	case isa.OpSCfg, isa.OpSSuspend, isa.OpSResume, isa.OpSStop, isa.OpSForce,
-		isa.OpSBNotEnd, isa.OpSBEnd, isa.OpSBDimNotEnd, isa.OpSBDimEnd:
-		return false
-	}
-	return true
-}
-
 func (c *Core) rename() {
 	blocked := BlockNone
 	for n := 0; n < c.cfg.FetchWidth && len(c.decodeQ) > 0; n++ {
@@ -226,7 +214,7 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	var plans [3]consumePlan
 	consumes := plans[:0]
 	produceSlot := -1
-	if c.eng != nil && regOperands(in.Op) {
+	if c.eng != nil && in.Op.HasDataOperands() {
 		var seen uint32 // vector registers already planned (NumVecRegs = 32)
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
 			if r.Class != isa.ClassVec || seen&(1<<r.N) != 0 {
@@ -263,7 +251,7 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	if needVec > len(c.vecFree) {
 		return BlockPRF
 	}
-	if in.HasDst() && regOperands(in.Op) {
+	if in.HasDst() && in.Op.HasDataOperands() {
 		switch in.Dst.Class {
 		case isa.ClassInt:
 			if !in.Dst.IsZero() && len(c.intFree) == 0 {
@@ -307,7 +295,7 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	e.cfgTok = cfgTok
 
 	// Resolve sources through the RAT (or through stream consumes).
-	if regOperands(in.Op) {
+	if in.Op.HasDataOperands() {
 		srcs := [...]isa.Reg{in.Src1, in.Src2, in.Src3, in.Pred}
 		for i, r := range srcs {
 			e.srcClass[i] = r.Class

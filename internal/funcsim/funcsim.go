@@ -204,17 +204,6 @@ func (m *Machine) Run() error {
 
 func (m *Machine) lanes(w arch.ElemWidth) int { return arch.LanesFor(m.effVecBytes, w) }
 
-// regOperands mirrors the core's rule: stream configuration/control and
-// stream branches name streams, not register values.
-func regOperands(op isa.Op) bool {
-	switch op {
-	case isa.OpSCfg, isa.OpSSuspend, isa.OpSResume, isa.OpSStop, isa.OpSForce,
-		isa.OpSBNotEnd, isa.OpSBEnd, isa.OpSBDimNotEnd, isa.OpSBDimEnd:
-		return false
-	}
-	return true
-}
-
 // consumedVal is one stream chunk consumed by the current instruction,
 // substituted for every source occurrence of its register.
 type consumedVal struct {
@@ -282,7 +271,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 	var consBuf [3]consumedVal
 	cons := consBuf[:0]
 	var prod *stream
-	if regOperands(op) {
+	if op.HasDataOperands() {
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
 			if r.Class != isa.ClassVec {
 				continue

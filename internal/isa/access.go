@@ -18,6 +18,18 @@ func (o Op) IsStreamCtl() bool {
 	return false
 }
 
+// HasDataOperands reports whether the instruction's register fields are
+// data operands. Stream configuration/control instructions and stream
+// branches name streams in them, not register values.
+func (o Op) HasDataOperands() bool {
+	switch o {
+	case OpSCfg, OpSSuspend, OpSResume, OpSStop, OpSForce,
+		OpSBNotEnd, OpSBEnd, OpSBDimNotEnd, OpSBDimEnd:
+		return false
+	}
+	return true
+}
+
 // DataDst returns the register the instruction writes as data, or None when
 // it has no destination or its Dst is a stream-control pseudo-operand.
 func (i *Inst) DataDst() Reg {

@@ -327,6 +327,9 @@ func TestOpMetadata(t *testing.T) {
 		if op.Latency() < 1 {
 			t.Errorf("op %s latency %d", op.Name(), op.Latency())
 		}
+		if op.HasDataOperands() == (op.IsStreamCtl() || op.IsStreamBranch()) {
+			t.Errorf("op %s: HasDataOperands=%v disagrees with the stream-control/branch classification", op.Name(), op.HasDataOperands())
+		}
 	}
 	if !OpBne.IsConditionalBranch() || OpJ.IsConditionalBranch() {
 		t.Error("conditional branch classification wrong")

@@ -12,6 +12,7 @@ package kernels
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -100,6 +101,31 @@ type Instance struct {
 	// same analysis can be replayed over a re-decoded copy of the program
 	// (Relint) and compared verdict-for-verdict.
 	lintOpts *lint.Options
+	// verified reports that Diags and Deps hold the verifier's findings:
+	// set by finalize, or by the first Certificate call on an instance
+	// assembled outside a Kernel build.
+	verified bool
+}
+
+// NewInstance wraps a program assembled outside a Kernel build — the
+// public Machine's — with its argument registers, to run against m. It has
+// no output check. Verification is deferred: the first Certificate call
+// analyzes the program with the options a Kernel build would have used
+// over the same memory.
+func NewInstance(m *mem.Memory, p *program.Program, intArgs map[int]uint64, fpArgs map[int]FPArg) *Instance {
+	inst := &Instance{Prog: p, IntArgs: maps.Clone(intArgs), FPArgs: maps.Clone(fpArgs)}
+	inst.lintOpts = verifyOptions(m, inst.IntArgs, inst.FPArgs)
+	return inst
+}
+
+// Certificate returns the static safety certificate of the instance's
+// program, verifying the program first if no Kernel build did.
+func (inst *Instance) Certificate() lint.SafetyCertificate {
+	if !inst.verified {
+		inst.Diags, inst.Deps = lint.Analyze(inst.Prog, inst.lintOpts)
+		inst.verified = true
+	}
+	return lint.Certify(inst.Diags, inst.Deps)
 }
 
 // Relint re-runs the static verifier over p with exactly the options this
@@ -228,20 +254,34 @@ func instance(b *program.Builder, bytes int64, check func() error) *Instance {
 }
 
 // finalize assembles the instance's program and runs the static verifier
-// over it, with the argument registers as the entry-defined set and the
-// hierarchy's allocations as the legal buffer extents. It runs last in every
-// kernel Build — after IntArgs/FPArgs are known — and never panics: failures
-// are reported through Err/Diags.
+// over it. It runs last in every kernel Build — after IntArgs/FPArgs are
+// known — and never panics: failures are reported through Err/Diags.
 func finalize(h *mem.Hierarchy, inst *Instance) *Instance {
+	opts := verifyOptions(h.Mem, inst.IntArgs, inst.FPArgs)
+	inst.lintOpts = opts
+	p, err := inst.builder.BuildVerified(func(p *program.Program) error {
+		inst.Diags, inst.Deps = lint.Analyze(p, opts)
+		return lint.ToError(inst.Diags)
+	})
+	inst.Prog, inst.Err, inst.verified = p, err, true
+	return inst
+}
+
+// verifyOptions derives the static verifier's options for a program
+// entered with the given argument registers and run against m: the
+// argument registers are the entry-defined set (integer values seed the
+// constant and value-range analyses) and m's allocations are the legal
+// buffer extents.
+func verifyOptions(m *mem.Memory, intArgs map[int]uint64, fpArgs map[int]FPArg) *lint.Options {
 	opts := &lint.Options{
-		EntryIntVals:      inst.IntArgs,
+		EntryIntVals:      intArgs,
 		MaxFootprintElems: MaxFootprintElems,
 		Prove:             ProveDeps,
 	}
-	for r := range inst.IntArgs {
+	for r := range intArgs {
 		opts.EntryInt = append(opts.EntryInt, r)
 	}
-	for r := range inst.FPArgs {
+	for r := range fpArgs {
 		opts.EntryFP = append(opts.EntryFP, r)
 	}
 	// The entry sets are semantically unordered, but keeping them sorted
@@ -249,16 +289,10 @@ func finalize(h *mem.Hierarchy, inst *Instance) *Instance {
 	// independent of map iteration order.
 	sort.Ints(opts.EntryInt)
 	sort.Ints(opts.EntryFP)
-	for _, e := range h.Mem.Extents() {
+	for _, e := range m.Extents() {
 		opts.Extents = append(opts.Extents, lint.Extent{Base: e.Base, Size: e.Size})
 	}
-	inst.lintOpts = opts
-	p, err := inst.builder.BuildVerified(func(p *program.Program) error {
-		inst.Diags, inst.Deps = lint.Analyze(p, opts)
-		return lint.ToError(inst.Diags)
-	})
-	inst.Prog, inst.Err = p, err
-	return inst
+	return opts
 }
 
 // MaxFootprintElems caps the verifier's per-stream address enumeration for

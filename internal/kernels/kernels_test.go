@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -95,5 +96,29 @@ func TestUVEBeatsBaselinesOnInstructionCount(t *testing.T) {
 				t.Errorf("SVE committed %d ≥ NEON %d", sve.Committed, neon.Committed)
 			}
 		})
+	}
+}
+
+// TestNewInstanceCertifiesLikeBuild: a kernel's program re-wrapped with
+// NewInstance — as the public Machine wraps the programs it runs — over the
+// same memory and arguments earns the certificate the kernel build did.
+func TestNewInstanceCertifiesLikeBuild(t *testing.T) {
+	for _, k := range kernels.All {
+		size := testSizes[k.ID]
+		if size == 0 {
+			size = 32
+		}
+		h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
+		built := k.Build(h, kernels.UVE, size)
+		if built.Err != nil {
+			t.Fatalf("%s: %v", k.ID, built.Err)
+		}
+		wrapped := kernels.NewInstance(h.Mem, built.Prog, built.IntArgs, built.FPArgs)
+		if got, want := wrapped.Certificate(), built.Certificate(); got != want {
+			t.Errorf("%s-%s: NewInstance certificate %+v, kernel build %+v", k.ID, k.Name, got, want)
+		}
+		if len(wrapped.Diags) != len(built.Diags) {
+			t.Errorf("%s-%s: NewInstance verified with %d diagnostics, kernel build %d", k.ID, k.Name, len(wrapped.Diags), len(built.Diags))
+		}
 	}
 }

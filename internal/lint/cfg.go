@@ -145,6 +145,15 @@ func (c *checker) collectConfigs() {
 			c.errorf(pendingStart[u], "configuration of u%d never completed (missing ss.end part)", u)
 		}
 	}
+	c.originUse = make(map[int][]int)
+	for _, site := range c.sites {
+		if site.desc == nil {
+			continue
+		}
+		for _, o := range site.desc.Origins() {
+			c.originUse[o] = append(c.originUse[o], site.endPC)
+		}
+	}
 }
 
 // buildCFG derives per-instruction successor lists and reachability from

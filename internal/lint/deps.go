@@ -121,15 +121,6 @@ func (c *checker) checkDeps() {
 	if maxElems <= 0 {
 		maxElems = DefaultMaxFootprintElems
 	}
-	c.originUse = make(map[int][]int)
-	for _, site := range c.sites {
-		if site.desc == nil {
-			continue
-		}
-		for _, o := range site.desc.Origins() {
-			c.originUse[o] = append(c.originUse[o], site.endPC)
-		}
-	}
 	fps := make([]*descriptor.Footprint, len(c.sites))
 	fp := func(i int) *descriptor.Footprint {
 		if fps[i] == nil {
@@ -241,7 +232,7 @@ func (c *checker) classifyStreamPair(s *state, old, new *cfgSite, fo, fn *descri
 			p.Verdict = DepOrdered
 			p.Detail = "engine defers the load configuration until prior store streams drain"
 		case "WAW":
-			if !c.streamUsedFrom(new.endPC, old.stream) {
+			if !c.streamUsed(new.endPC, old.stream) {
 				p.Verdict = DepOrdered
 				p.Detail = fmt.Sprintf("u%d has no producer after this configuration; in-order commit retires its writes first", old.stream)
 			} else if addr, ok := commonAddr(fo, fn); ok && certainlyLive(s, old.stream) {
@@ -269,7 +260,7 @@ func (c *checker) classifyWAR(s *state, old, new *cfgSite, fo, fn *descriptor.Fo
 	// Retired-access rule: no reachable consumer of the load after the
 	// store's configuration means every delivered element was committed
 	// before the store's first write (cross-phase sweeps).
-	if !c.streamUsedFrom(new.endPC, old.stream) {
+	if !c.streamUsed(new.endPC, old.stream) {
 		return DepOrdered, fmt.Sprintf("u%d has no consumer after this configuration; in-order commit retires its delivered reads first", old.stream)
 	}
 	// Positional rule: for every address the store writes, the load's first
@@ -351,7 +342,7 @@ func (c *checker) checkScalarStore(pc int, s *state, in *isa.Inst, fp func(int) 
 			rel = fp(int(si)).RelateRange(lo, hi)
 		}
 		switch {
-		case rel != descriptor.OverlapDisjoint && !c.streamUsedFrom(pc, v):
+		case rel != descriptor.OverlapDisjoint && !c.streamUsed(pc, v):
 			p.Verdict = DepOrdered
 			p.Detail = fmt.Sprintf("u%d has no use after this store; in-order commit retires its accesses first", v)
 			c.deps = append(c.deps, p)
@@ -399,51 +390,6 @@ func (c *checker) checkScalarStore(pc int, s *state, in *isa.Inst, fp func(int) 
 		c.warnf(pc, "scalar store while streams %s may be live: %s, so disjointness is unprovable",
 			strings.Join(unprovable, ", "), what)
 	}
-}
-
-// streamUsedFrom reports whether any reachable path from pc's successors
-// uses stream u's current configuration — a core read or write of the vector
-// register, an ss.force, or an indirect-origin consumer — before it is
-// clobbered by a reconfiguration or ss.stop. When it returns false, every
-// observable effect of u precedes pc in commit order (see the retired-access
-// rule in the package comment).
-func (c *checker) streamUsedFrom(pc, u int) bool {
-	seen := make([]bool, len(c.insts))
-	stack := append([]int(nil), c.succs[pc]...)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		in := &c.insts[p]
-		if d := in.DataDst(); d.Class == isa.ClassVec && int(d.N) == u {
-			return true
-		}
-		var srcs [4]isa.Reg
-		for _, r := range in.DataSrcs(srcs[:0]) {
-			if r.Class == isa.ClassVec && int(r.N) == u {
-				return true
-			}
-		}
-		if in.Op == isa.OpSForce && int(in.Dst.N) == u {
-			return true
-		}
-		for _, endPC := range c.originUse[u] {
-			if p == endPC {
-				return true
-			}
-		}
-		if in.Op == isa.OpSCfg && in.Cfg != nil && in.Cfg.Stream == u && in.Cfg.Start {
-			continue // reconfigured: later uses consume the new instance
-		}
-		if in.Op == isa.OpSStop && int(in.Dst.N) == u {
-			continue
-		}
-		stack = append(stack, c.succs[p]...)
-	}
-	return false
 }
 
 // scalarStoreRange resolves the byte range a store instruction writes, using

@@ -14,21 +14,11 @@ import (
 // an indirect origin; stream branches alone do not count — testing whether a
 // stream ended without ever consuming it does no work.
 func (c *checker) checkStreamUses() {
-	// Config sites whose descriptors consume stream s as an indirect origin.
-	originUse := make(map[int][]int) // stream → end-part pcs of consuming sites
-	for _, site := range c.sites {
-		if site.desc == nil {
-			continue
-		}
-		for _, o := range site.desc.Origins() {
-			originUse[o] = append(originUse[o], site.endPC)
-		}
-	}
 	for _, site := range c.sites {
 		if !c.reach[site.endPC] {
 			continue
 		}
-		used, clobbered := c.traceUse(site, originUse[site.stream])
+		used, clobbered := c.streamUse(site.endPC, site.stream)
 		if used {
 			continue
 		}
@@ -40,22 +30,25 @@ func (c *checker) checkStreamUses() {
 	}
 }
 
-// traceUse walks forward from a configuration's end part, looking for a use
-// of the stream before it is clobbered by another configuration start or an
-// ss.stop. It reports whether a use was found and, if not, whether any path
-// reached a clobber (vs simply running off the program).
-func (c *checker) traceUse(site *cfgSite, originSites []int) (used, clobbered bool) {
-	u := site.stream
+// streamUse walks every reachable path from pc's successors for a use of
+// stream u's current configuration — a core read or write of the vector
+// register, an ss.force, or an indirect-origin consumer — before it is
+// clobbered by a reconfiguration or ss.stop. It reports whether a use was
+// found and, if not, whether any path reached a clobber (vs simply running
+// off the program). When used is false, every observable effect of u
+// precedes pc in commit order (see the retired-access rule in the package
+// comment).
+func (c *checker) streamUse(pc, u int) (used, clobbered bool) {
 	seen := make([]bool, len(c.insts))
-	stack := append([]int(nil), c.succs[site.endPC]...)
+	stack := append([]int(nil), c.succs[pc]...)
 	for len(stack) > 0 {
-		pc := stack[len(stack)-1]
+		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[pc] {
+		if seen[p] {
 			continue
 		}
-		seen[pc] = true
-		in := &c.insts[pc]
+		seen[p] = true
+		in := &c.insts[p]
 		if d := in.DataDst(); d.Class == isa.ClassVec && int(d.N) == u {
 			return true, clobbered
 		}
@@ -68,24 +61,25 @@ func (c *checker) traceUse(site *cfgSite, originSites []int) (used, clobbered bo
 		if in.Op == isa.OpSForce && int(in.Dst.N) == u {
 			return true, clobbered
 		}
-		for _, endPC := range originSites {
-			if pc == endPC {
+		for _, endPC := range c.originUse[u] {
+			if p == endPC {
 				return true, clobbered
 			}
 		}
-		kill := false
-		if in.Op == isa.OpSCfg && in.Cfg != nil && in.Cfg.Stream == u && in.Cfg.Start {
-			kill, clobbered = true, true
-		}
-		if in.Op == isa.OpSStop && int(in.Dst.N) == u {
-			kill, clobbered = true, true
-		}
-		if kill {
+		if in.Op == isa.OpSCfg && in.Cfg != nil && in.Cfg.Stream == u && in.Cfg.Start ||
+			in.Op == isa.OpSStop && int(in.Dst.N) == u {
+			clobbered = true // later uses consume a new configuration
 			continue
 		}
-		stack = append(stack, c.succs[pc]...)
+		stack = append(stack, c.succs[p]...)
 	}
 	return false, clobbered
+}
+
+// streamUsed is streamUse's verdict alone, for the dependence rules.
+func (c *checker) streamUsed(pc, u int) bool {
+	used, _ := c.streamUse(pc, u)
+	return used
 }
 
 // checkFootprints enumerates the exact address sequence of every reachable

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/funcsim"
@@ -44,19 +45,19 @@ func ParseFidelity(s string) (Fidelity, error) {
 	return Cycle, fmt.Errorf("unknown fidelity %q (want cycle or functional)", s)
 }
 
-// runFunctional is RunBuilt's Functional-tier path: it interprets the built
+// runFunctional is RunInstance's Functional-tier path: it interprets the
 // instance in program order and fills the architectural subset of Result
-// (Committed, per-kind counts, Collisions, MemHash). Timing fields stay
-// zero — a functional Result answers "what did the program compute", never
-// "how fast".
-func runFunctional(ctx context.Context, id string, v kernels.Variant, size int, o *Options, h *mem.Hierarchy, inst *kernels.Instance) (*Result, error) {
+// (Committed, per-kind counts, Collisions). Timing fields stay zero — a
+// functional Result answers "what did the program compute", never "how
+// fast".
+func runFunctional(ctx context.Context, h *mem.Hierarchy, inst *kernels.Instance, streaming bool, o *Options) (*Result, error) {
 	if o.Trace != nil {
-		return nil, fmt.Errorf("%s/%s: functional fidelity cannot record traces (no cycles to attribute events to)", id, v)
+		return nil, errors.New("functional fidelity cannot record traces (no cycles to attribute events to)")
 	}
 	if o.Faults != nil && o.Faults.Enabled() {
-		return nil, fmt.Errorf("%s/%s: functional fidelity cannot inject faults (injectors perturb timing, which the tier does not model)", id, v)
+		return nil, errors.New("functional fidelity cannot inject faults (injectors perturb timing, which the tier does not model)")
 	}
-	sanitize, elided := o.resolveSanitize(v, inst)
+	sanitize, elided := o.resolveSanitize(streaming, inst)
 	cfg := funcsim.Config{
 		VecBytes: o.Core.VecBytes,
 		Sanitize: sanitize,
@@ -76,12 +77,9 @@ func runFunctional(ctx context.Context, id string, v kernels.Variant, size int, 
 		fm.SetFPReg(r, a.W, a.V)
 	}
 	if err := fm.Run(); err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", id, v, err)
+		return nil, err
 	}
 	res := &Result{
-		Variant:    v,
-		Kernel:     id,
-		Size:       size,
 		Committed:  fm.Committed(),
 		Collisions: fm.Collisions(),
 
@@ -89,13 +87,5 @@ func runFunctional(ctx context.Context, id string, v kernels.Variant, size int, 
 	}
 	res.Core.Committed = fm.Committed()
 	res.Core.CommittedByKind = fm.CommittedByKind()
-	if o.HashMem {
-		res.MemHash = h.Mem.HashExtents()
-	}
-	if !o.SkipCheck && inst.Check != nil {
-		if err := inst.Check(); err != nil {
-			return res, fmt.Errorf("output mismatch: %w", err)
-		}
-	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -67,7 +68,7 @@ func TestRunSkipCheckSuppressesValidation(t *testing.T) {
 }
 
 func TestRunBuiltLabelsResult(t *testing.T) {
-	res, err := RunBuilt("custom-id", kernels.SVE, 8, nil, func(h *mem.Hierarchy) *kernels.Instance {
+	res, err := RunBuiltContext(context.Background(), "custom-id", kernels.SVE, 8, nil, func(h *mem.Hierarchy) *kernels.Instance {
 		p := program.NewBuilder("custom").I(isa.Halt()).MustBuild()
 		return &kernels.Instance{Prog: p}
 	})

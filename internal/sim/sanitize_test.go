@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -64,7 +65,7 @@ func TestSanitizerCrossCheck(t *testing.T) {
 			opts.Fidelity = Functional
 			opts.Sanitize = SanitizeOn
 			var inst *kernels.Instance
-			res, err := RunBuilt(k.ID, kernels.UVE, size, &opts, func(h *mem.Hierarchy) *kernels.Instance {
+			res, err := RunBuiltContext(context.Background(), k.ID, kernels.UVE, size, &opts, func(h *mem.Hierarchy) *kernels.Instance {
 				inst = k.Build(h, kernels.UVE, size)
 				return inst
 			})

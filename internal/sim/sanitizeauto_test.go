@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -36,7 +37,7 @@ func TestSanitizeAutoDifferential(t *testing.T) {
 			}
 			opts := autoOpts()
 			var inst *kernels.Instance
-			res, err := RunBuilt(k.ID, kernels.UVE, size, &opts, func(h *mem.Hierarchy) *kernels.Instance {
+			res, err := RunBuiltContext(context.Background(), k.ID, kernels.UVE, size, &opts, func(h *mem.Hierarchy) *kernels.Instance {
 				inst = k.Build(h, kernels.UVE, size)
 				return inst
 			})
@@ -60,7 +61,7 @@ func TestSanitizeAutoDifferential(t *testing.T) {
 			debugForceSanitize = true
 			defer func() { debugForceSanitize = false }()
 			opts2 := autoOpts()
-			forced, err := RunBuilt(k.ID, kernels.UVE, size, &opts2, func(h *mem.Hierarchy) *kernels.Instance {
+			forced, err := RunBuiltContext(context.Background(), k.ID, kernels.UVE, size, &opts2, func(h *mem.Hierarchy) *kernels.Instance {
 				return k.Build(h, kernels.UVE, size)
 			})
 			if err != nil {
@@ -102,7 +103,7 @@ func TestSanitizeAutoUncertified(t *testing.T) {
 	}
 	opts := autoOpts()
 	var inst *kernels.Instance
-	res, err := RunBuilt(k.ID, kernels.UVE, sanitizeSizes[k.ID], &opts, func(h *mem.Hierarchy) *kernels.Instance {
+	res, err := RunBuiltContext(context.Background(), k.ID, kernels.UVE, sanitizeSizes[k.ID], &opts, func(h *mem.Hierarchy) *kernels.Instance {
 		inst = k.Build(h, kernels.UVE, sanitizeSizes[k.ID])
 		return inst
 	})

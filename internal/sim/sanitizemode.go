@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernels"
-	"repro/internal/lint"
 )
 
 // SanitizeMode selects how a run decides whether the byte-granular stream
@@ -59,11 +58,12 @@ var debugForceSanitize = false
 
 // resolveSanitize decides whether shadow tracking runs for this instance,
 // and whether it was elided on the strength of a safety certificate. Only
-// UVE runs have streams to track; fault campaigns never elide (injection
-// reorders engine timing, and the sanitizer is the oracle that proves the
-// reordering is architecturally invisible).
-func (o *Options) resolveSanitize(v kernels.Variant, inst *kernels.Instance) (enable, elided bool) {
-	if v != kernels.UVE {
+// streaming runs have streams to track; fault campaigns never elide
+// (injection reorders engine timing, and the sanitizer is the oracle that
+// proves the reordering is architecturally invisible). The instance is
+// asked for its certificate only when the decision depends on it.
+func (o *Options) resolveSanitize(streaming bool, inst *kernels.Instance) (enable, elided bool) {
+	if !streaming {
 		return false, false
 	}
 	switch o.Sanitize {
@@ -73,7 +73,7 @@ func (o *Options) resolveSanitize(v kernels.Variant, inst *kernels.Instance) (en
 		if o.Faults != nil && o.Faults.Enabled() {
 			return true, false
 		}
-		if cert := lint.Certify(inst.Diags, inst.Deps); cert.CollisionFree {
+		if inst.Certificate().CollisionFree {
 			return debugForceSanitize, true
 		}
 		return true, false

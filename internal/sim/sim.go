@@ -134,19 +134,13 @@ func Run(k *kernels.Kernel, v kernels.Variant, size int, opts *Options) (*Result
 	return RunContext(context.Background(), k, v, size, opts)
 }
 
-// RunBuilt is RunBuiltContext with a background (never-canceled) context.
-func RunBuilt(id string, v kernels.Variant, size int, opts *Options, build func(h *mem.Hierarchy) *kernels.Instance) (*Result, error) {
-	return RunBuiltContext(context.Background(), id, v, size, opts, build)
-}
-
-// RunBuiltContext assembles the Table I machine for the variant (core +
-// memory hierarchy, plus the Streaming Engine for UVE), runs the instance
-// the build callback constructs against that hierarchy, and validates its
-// output. It is the single execution path shared by Run and by custom
-// instances such as the Fig 8.E unrolled GEMMs; id labels the Result.
-// Validation errors are returned raw so callers can add kernel context.
-// The context is polled at cycle-batch granularity; a done context aborts
-// the run with a *CanceledError.
+// RunBuiltContext runs one kernel instance on a fresh Table I machine for
+// the variant: it builds the memory hierarchy, constructs the instance
+// against it with the build callback, runs it (RunInstance, with the
+// Streaming Engine for UVE) and validates its output. It serves Run and
+// custom instances such as the Fig 8.E unrolled GEMMs; id labels the
+// Result. Validation errors are returned raw so callers can add kernel
+// context. A context that is already done aborts before the build.
 func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int, opts *Options, build func(h *mem.Hierarchy) *kernels.Instance) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Err: err}
@@ -157,19 +151,48 @@ func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int
 	} else {
 		o = DefaultOptions(v)
 	}
+	h := mem.NewHierarchy(o.Hier)
+	inst := build(h)
+	if inst.Err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", id, v, inst.Err)
+	}
+	res, err := RunInstance(ctx, h, inst, v == kernels.UVE, &o)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", id, v, err)
+	}
+	res.Variant, res.Kernel, res.Size = v, id, size
+	if o.HashMem {
+		res.MemHash = h.Mem.HashExtents()
+	}
+	if !o.SkipCheck && inst.Check != nil {
+		if err := inst.Check(); err != nil {
+			return res, fmt.Errorf("output mismatch: %w", err)
+		}
+	}
+	return res, nil
+}
+
+// RunInstance runs a built instance against a hierarchy the caller owns, on
+// the tier o.Fidelity selects: the detailed core (plus the Streaming
+// Engine when streaming) or the functional interpreter. It is the one run
+// path — kernel runs reach it through RunBuiltContext, the public
+// uve.Machine directly. o.Watchdog and o.MaxCycles override the core's
+// bounds; o.Hier, HashMem and SkipCheck are the caller's business, as are
+// the Result's Variant/Kernel/Size labels. Fault-injection hooks installed
+// on h are removed before it returns, so h can outlive the run. The
+// context is polled at cycle-batch granularity on the detailed tier
+// (instruction-batch on the functional tier) and a done context aborts the
+// run with a *CanceledError.
+func RunInstance(ctx context.Context, h *mem.Hierarchy, inst *kernels.Instance, streaming bool, opts *Options) (*Result, error) {
+	o := *opts
 	if o.Watchdog > 0 {
 		o.Core.Watchdog = o.Watchdog
 	}
 	if o.MaxCycles > 0 {
 		o.Core.MaxCycles = o.MaxCycles
 	}
-	h := mem.NewHierarchy(o.Hier)
-	inst := build(h)
-	if inst.Err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", id, v, inst.Err)
-	}
 	if o.Fidelity == Functional {
-		return runFunctional(ctx, id, v, size, &o, h, inst)
+		return runFunctional(ctx, h, inst, streaming, &o)
 	}
 
 	var inj *fault.Injector
@@ -177,10 +200,11 @@ func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int
 		inj = fault.NewInjector(*o.Faults)
 		h.TLB.Inject = inj.PageFault
 		h.DRAM.Inject = inj.DRAMDelay
+		defer func() { h.TLB.Inject, h.DRAM.Inject = nil, nil }()
 	}
-	sanitize, elided := o.resolveSanitize(v, inst)
+	sanitize, elided := o.resolveSanitize(streaming, inst)
 	var eng *engine.Engine
-	if v == kernels.UVE {
+	if streaming {
 		eng = engine.New(o.Eng, h)
 		if sanitize {
 			eng.EnableSanitizer()
@@ -203,15 +227,12 @@ func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int
 		core.SetFPReg(r, a.W, a.V)
 	}
 	installCancel(ctx, core)
-	cycles, runErr := runCore(core, &o)
-	if runErr != nil {
-		return nil, fmt.Errorf("%s/%s: %w", id, v, runErr)
+	cycles, err := runCore(core, &o)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
-		Variant:   v,
-		Kernel:    id,
-		Size:      size,
 		Cycles:    cycles,
 		Committed: core.Stats.Committed,
 		Core:      core.Stats,
@@ -229,14 +250,6 @@ func RunBuiltContext(ctx context.Context, id string, v kernels.Variant, size int
 	}
 	if inj != nil {
 		res.Faults = inj.Stats
-	}
-	if o.HashMem {
-		res.MemHash = h.Mem.HashExtents()
-	}
-	if !o.SkipCheck && inst.Check != nil {
-		if err := inst.Check(); err != nil {
-			return res, fmt.Errorf("output mismatch: %w", err)
-		}
 	}
 	return res, nil
 }

@@ -5,8 +5,8 @@
 # abstract-interpretation soundness oracle, a one-shot Fig 8 benchmark
 # smoke, execution-tier differential smokes, trace/fault determinism
 # smokes, the watchdog no-hang smoke, the wire-format canonicality smoke,
-# the prove/certificate smoke and the wall-clock perf gate against the
-# committed BENCH_simwall.json.
+# the prove/certificate smoke, the examples smoke and the wall-clock perf
+# gate against the committed BENCH_simwall.json.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -114,6 +114,15 @@ grep -q "stream table" "$tracedir/wd.txt"
 # cleanly with an in-flight job, and a restart over the same store serves
 # everything from disk with a positive hit rate.
 ./scripts/servesmoke.sh
+# Examples smoke: every program under examples/ — the public uve API's
+# end-to-end users besides the uve_*_test.go suites — builds, exits zero
+# and prints byte-identical output on two runs.
+go build -o "$tracedir/examples/" ./examples/...
+for ex in "$tracedir"/examples/*; do
+    "$ex" > "$tracedir/example1.txt"
+    "$ex" > "$tracedir/example2.txt"
+    cmp "$tracedir/example1.txt" "$tracedir/example2.txt"
+done
 # Wall-clock trajectory gate: BenchmarkSimWall cells vs the committed
 # baseline, >2x regression fails (loose on purpose: absolute numbers are
 # host-dependent; regenerate with `scripts/perfsmoke.sh -update` after an

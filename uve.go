@@ -23,6 +23,7 @@ package uve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -30,8 +31,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/funcsim"
-	"repro/internal/lint"
+	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/sim"
@@ -174,24 +174,15 @@ func (r *Result) IPC() float64 {
 // Machine is one simulated system: memory + caches + optional Streaming
 // Engine. Allocate data with Alloc/Float32s/Uint64s, then Run programs.
 type Machine struct {
-	cfg  Config
-	opts machineOptions
-	hier *mem.Hierarchy
-}
-
-// machineOptions collects the cross-cutting run settings the functional
-// options configure; Config stays a plain hardware description.
-type machineOptions struct {
-	sanitize SanitizeMode
-	trace    *TraceCollector
-	faults   *FaultPlan
-	watchdog int64
-	maxCyc   int64
-	fidelity Fidelity
+	// opts holds the hardware description and the cross-cutting run
+	// settings the functional options configure.
+	opts      sim.Options
+	streaming bool
+	hier      *mem.Hierarchy
 }
 
 // Option configures a Machine beyond its hardware Config.
-type Option func(*machineOptions)
+type Option func(*sim.Options)
 
 // SanitizeMode selects how a run decides whether the stream sanitizer
 // (shadow address tracking) is enabled; see WithSanitize.
@@ -216,12 +207,18 @@ const (
 // collisions are reported in Result.Collisions (byte-granular — meant for
 // verification runs at test sizes, not timing experiments); SanitizeAuto
 // elides the tracker when static analysis proves it could observe nothing.
-func WithSanitize(m SanitizeMode) Option { return func(o *machineOptions) { o.sanitize = m } }
+func WithSanitize(m SanitizeMode) Option { return func(o *sim.Options) { o.Sanitize = m } }
 
 // WithTrace streams typed instrumentation events from the core and the
 // streaming engine into c. Timing is unaffected: the same cycles are
 // simulated with or without a recorder.
-func WithTrace(c *TraceCollector) Option { return func(o *machineOptions) { o.trace = c } }
+func WithTrace(c *TraceCollector) Option {
+	return func(o *sim.Options) {
+		if c != nil { // a nil collector must not become a non-nil Recorder
+			o.Trace = c
+		}
+	}
+}
 
 // WithFaults runs every program under the seeded deterministic fault
 // injectors: NACKed line fetches with bounded retry/backoff, page faults
@@ -231,18 +228,18 @@ func WithTrace(c *TraceCollector) Option { return func(o *machineOptions) { o.tr
 // and the same plan reproduces the same run, cycle for cycle. A fresh
 // injector is built per Run call.
 func WithFaults(p FaultPlan) Option {
-	return func(o *machineOptions) { o.faults = &p }
+	return func(o *sim.Options) { o.Faults = &p }
 }
 
 // WithWatchdog overrides the forward-progress bound: a run that commits
 // nothing for n cycles fails with a *WatchdogError instead of running
 // forever. WithFaults campaigns combine it with WithMaxCycles to convert
 // injection-induced livelock into a structured diagnostic.
-func WithWatchdog(n int64) Option { return func(o *machineOptions) { o.watchdog = n } }
+func WithWatchdog(n int64) Option { return func(o *sim.Options) { o.Watchdog = n } }
 
 // WithMaxCycles aborts any run exceeding n cycles with a *WatchdogError —
 // a hard, wall-clock-free bound for adversarial campaigns.
-func WithMaxCycles(n int64) Option { return func(o *machineOptions) { o.maxCyc = n } }
+func WithMaxCycles(n int64) Option { return func(o *sim.Options) { o.MaxCycles = n } }
 
 // Fidelity selects the execution tier a Machine runs programs on.
 type Fidelity = sim.Fidelity
@@ -262,29 +259,27 @@ const (
 // tier answers "what did the program compute" one to two orders of
 // magnitude faster than the detailed machine; use it for correctness
 // loops, sanitizer sweeps and test baselines, never for timing.
-func WithFidelity(f Fidelity) Option { return func(o *machineOptions) { o.fidelity = f } }
+func WithFidelity(f Fidelity) Option { return func(o *sim.Options) { o.Fidelity = f } }
 
 // NewMachine builds a machine.
 func NewMachine(cfg Config, opts ...Option) *Machine {
-	cfg.Engine.VecBytes = cfg.Core.VecBytes
-	m := &Machine{cfg: cfg, hier: mem.NewHierarchy(cfg.Memory)}
+	m := &Machine{
+		opts:      sim.Options{Core: cfg.Core, Eng: cfg.Engine, Hier: cfg.Memory},
+		streaming: cfg.Streaming,
+		hier:      mem.NewHierarchy(cfg.Memory),
+	}
+	m.opts.Eng.VecBytes = cfg.Core.VecBytes
 	for _, o := range opts {
 		o(&m.opts)
-	}
-	if m.opts.watchdog > 0 {
-		m.cfg.Core.Watchdog = m.opts.watchdog
-	}
-	if m.opts.maxCyc > 0 {
-		m.cfg.Core.MaxCycles = m.opts.maxCyc
 	}
 	return m
 }
 
 // VecBytes returns the machine's vector register width in bytes.
-func (m *Machine) VecBytes() int { return m.cfg.Core.VecBytes }
+func (m *Machine) VecBytes() int { return m.opts.Core.VecBytes }
 
 // Lanes returns the vector lane count for elements of width w.
-func (m *Machine) Lanes(w ElemWidth) int { return arch.LanesFor(m.cfg.Core.VecBytes, w) }
+func (m *Machine) Lanes(w ElemWidth) int { return arch.LanesFor(m.opts.Core.VecBytes, w) }
 
 // Alloc reserves size bytes of simulated memory, cache-line aligned.
 func (m *Machine) Alloc(size int) uint64 { return m.hier.Mem.Alloc(size, arch.LineSize) }
@@ -320,204 +315,73 @@ func (m *Machine) Run(p *Program, args ...Arg) (*Result, error) {
 // fails with a *CanceledError wrapping ctx.Err(). The machine's simulated
 // memory may have been partially written by the aborted run; the machine
 // itself remains usable.
-func (m *Machine) RunContext(ctx context.Context, p *Program, args ...Arg) (*Result, error) {
+func (m *Machine) RunContext(ctx context.Context, p *Program, args ...Arg) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Err: err}
 	}
-	if m.opts.fidelity == Functional {
-		return m.runFunctional(ctx, p, args)
-	}
-	var inj *fault.Injector
-	if m.opts.faults != nil && m.opts.faults.Enabled() {
-		// A fresh injector per run: the campaign replays identically on
-		// every Run call with the same plan.
-		inj = fault.NewInjector(*m.opts.faults)
-		m.hier.TLB.Inject = inj.PageFault
-		m.hier.DRAM.Inject = inj.DRAMDelay
-		defer func() {
-			m.hier.TLB.Inject = nil
-			m.hier.DRAM.Inject = nil
-		}()
-	}
-	sanitize, elided := m.resolveSanitize(p, args)
-	var eng *engine.Engine
-	if m.cfg.Streaming {
-		eng = engine.New(m.cfg.Engine, m.hier)
-		if sanitize {
-			eng.EnableSanitizer()
+	// Programs reach a Machine unverified, so a malformed one can trip a
+	// model invariant mid-run: report it as an error, not a crash.
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("uve: simulation aborted: %v", r)
 		}
-		if m.opts.trace != nil {
-			eng.SetRecorder(m.opts.trace)
-		}
-		if inj != nil {
-			eng.SetInjector(inj)
-		}
-	}
-	core := cpu.New(m.cfg.Core, p, m.hier, eng)
-	if m.opts.trace != nil {
-		core.SetRecorder(m.opts.trace)
-	}
-	for _, a := range args {
-		a.apply(core)
-	}
-	if ctx.Done() != nil {
-		core.SetCancel(func(cycle int64) {
-			if cerr := ctx.Err(); cerr != nil {
-				panic(&CanceledError{Cycle: cycle, Err: cerr})
-			}
-		})
-	}
-	var cycles int64
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case *cpu.WatchdogError:
-					err = e
-				case *CanceledError:
-					err = e
-				default:
-					err = fmt.Errorf("uve: simulation aborted: %v", r)
-				}
-			}
-		}()
-		cycles = core.Run()
 	}()
+	ints, fps := argRegs(args)
+	inst := kernels.NewInstance(m.hier.Mem, p, ints, fps)
+	r, err := sim.RunInstance(ctx, m.hier, inst, m.streaming, &m.opts)
 	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Cycles:    cycles,
-		Committed: core.Stats.Committed,
-		Core:      core.Stats,
-		DRAM:      m.hier.DRAM.Stats,
-		L1:        m.hier.L1D.Stats,
-		L2:        m.hier.L2.Stats,
-		BusUtil:   m.hier.DRAM.Utilization(cycles),
-
-		SanitizerElided: elided,
-	}
-	if eng != nil {
-		res.Engine = eng.Stats
-		res.Collisions = eng.Collisions()
-	}
-	if inj != nil {
-		res.Faults = inj.Stats
-	}
-	return res, nil
-}
-
-// runFunctional is Run's Functional-tier path: program-order interpretation
-// against the machine's memory, filling only the architectural fields of
-// Result. Stream descriptors iterate through the same engine address logic
-// the detailed model uses, so descriptor semantics cannot drift.
-func (m *Machine) runFunctional(ctx context.Context, p *Program, args []Arg) (*Result, error) {
-	if m.opts.trace != nil {
-		return nil, fmt.Errorf("uve: WithFidelity(Functional) cannot record traces (no cycles to attribute events to)")
-	}
-	if m.opts.faults != nil && m.opts.faults.Enabled() {
-		return nil, fmt.Errorf("uve: WithFidelity(Functional) cannot inject faults (injectors perturb timing, which the tier does not model)")
-	}
-	sanitize, elided := m.resolveSanitize(p, args)
-	cfg := funcsim.Config{
-		VecBytes: m.cfg.Core.VecBytes,
-		Sanitize: sanitize,
-	}
-	if m.cfg.Core.MaxCycles > 0 {
-		cfg.MaxInsts = m.cfg.Core.MaxCycles * int64(m.cfg.Core.CommitWidth)
-	}
-	if ctx.Done() != nil {
-		cfg.Cancel = func(insts int64) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return &CanceledError{Insts: insts, Err: cerr}
-			}
-			return nil
+		// Watchdog and cancellation errors are typed diagnostics that
+		// print as themselves; everything else gains the package prefix.
+		var wd *WatchdogError
+		var ce *CanceledError
+		if errors.As(err, &wd) || errors.As(err, &ce) {
+			return nil, err
 		}
-	}
-	fm := funcsim.New(cfg, p, m.hier.Mem)
-	for _, a := range args {
-		a.applyFunc(fm)
-	}
-	if err := fm.Run(); err != nil {
 		return nil, fmt.Errorf("uve: %w", err)
 	}
-	res := &Result{
-		Committed:  fm.Committed(),
-		Collisions: fm.Collisions(),
-
-		SanitizerElided: elided,
-	}
-	res.Core.Committed = fm.Committed()
-	res.Core.CommittedByKind = fm.CommittedByKind()
-	return res, nil
-}
-
-// resolveSanitize decides whether shadow tracking runs for a program on
-// this machine, and whether it was elided by a safety certificate. Under
-// SanitizeAuto the program is statically verified first (entry argument
-// values seed the prover); only a certificate proving every dependence pair
-// disjoint elides the tracker, and fault campaigns never elide — injection
-// perturbs engine timing, and the sanitizer is the oracle that shows the
-// perturbation is architecturally invisible.
-func (m *Machine) resolveSanitize(p *Program, args []Arg) (enable, elided bool) {
-	if !m.cfg.Streaming {
-		return false, false
-	}
-	switch m.opts.sanitize {
-	case SanitizeOn:
-		return true, false
-	case SanitizeAuto:
-		if m.opts.faults != nil && m.opts.faults.Enabled() {
-			return true, false
-		}
-		ints := map[int]uint64{}
-		for _, a := range args {
-			if a.applyCost != nil {
-				a.applyCost(ints)
-			}
-		}
-		lo := &lint.Options{
-			EntryIntVals: ints,
-			Prove:        true,
-			VecBytes:     m.cfg.Core.VecBytes,
-		}
-		for r := range ints {
-			lo.EntryInt = append(lo.EntryInt, r)
-		}
-		diags, deps := lint.Analyze(p, lo)
-		if cert := lint.Certify(diags, deps); cert.CollisionFree {
-			return false, true
-		}
-		return true, false
-	}
-	return false, false
+	return &Result{
+		Cycles:          r.Cycles,
+		Committed:       r.Committed,
+		Core:            r.Core,
+		Engine:          r.Eng,
+		DRAM:            r.DRAM,
+		L1:              r.L1,
+		L2:              r.L2,
+		BusUtil:         r.BusUtil,
+		Collisions:      r.Collisions,
+		Faults:          r.Faults,
+		SanitizerElided: r.SanitizerElided,
+	}, nil
 }
 
 // Arg presets an architectural register before a run.
 type Arg struct {
-	apply     func(c *cpu.Core)
-	applyFunc func(f *funcsim.Machine)
-	applyCost func(args map[int]uint64)
+	reg int
+	fp  bool
+	x   uint64
+	f   kernels.FPArg
 }
 
 // IntArg places v in integer register xN.
-func IntArg(n int, v uint64) Arg {
-	return Arg{
-		apply:     func(c *cpu.Core) { c.SetIntReg(n, v) },
-		applyFunc: func(f *funcsim.Machine) { f.SetIntReg(n, v) },
-		applyCost: func(args map[int]uint64) { args[n] = v },
-	}
-}
+func IntArg(n int, v uint64) Arg { return Arg{reg: n, x: v} }
 
 // FloatArg places v (width w) in FP register fN.
 func FloatArg(n int, w ElemWidth, v float64) Arg {
-	return Arg{
-		apply:     func(c *cpu.Core) { c.SetFPReg(n, w, v) },
-		applyFunc: func(f *funcsim.Machine) { f.SetFPReg(n, w, v) },
-		// The cost model does not track FP values: they never reach
-		// control flow or addresses in this ISA.
+	return Arg{reg: n, fp: true, f: kernels.FPArg{W: w, V: v}}
+}
+
+// argRegs collects args into integer and FP register presets; a later Arg
+// for the same register wins.
+func argRegs(args []Arg) (map[int]uint64, map[int]kernels.FPArg) {
+	ints, fps := map[int]uint64{}, map[int]kernels.FPArg{}
+	for _, a := range args {
+		if a.fp {
+			fps[a.reg] = a.f
+		} else {
+			ints[a.reg] = a.x
+		}
 	}
+	return ints, fps
 }
 
 // CostEstimate is the static cost model's result: exact (or explicitly
@@ -540,19 +404,8 @@ type CostQuantity = cost.Quantity
 // below any reported bound. Only integer args matter (addresses and sizes);
 // FloatArgs are ignored.
 func (m *Machine) EstimateCost(p *Program, args ...Arg) (*CostEstimate, error) {
-	params := cost.Params{
-		Core:    m.cfg.Core,
-		Eng:     m.cfg.Engine,
-		Hier:    m.cfg.Memory,
-		IntArgs: map[int]uint64{},
-	}
-	params.Eng.VecBytes = m.cfg.Core.VecBytes
-	for _, a := range args {
-		if a.applyCost != nil {
-			a.applyCost(params.IntArgs)
-		}
-	}
-	return cost.Analyze(p, params)
+	ints, _ := argRegs(args)
+	return cost.Analyze(p, cost.Params{Core: m.opts.Core, Eng: m.opts.Eng, Hier: m.opts.Hier, IntArgs: ints})
 }
 
 // F32Array is a float32 array in simulated memory.

@@ -204,3 +204,70 @@ func TestWithFidelityFunctional(t *testing.T) {
 		t.Fatalf("functional+faults error = %v, want faults conflict", err)
 	}
 }
+
+// TestSanitizeAutoFloatArg: a program that reads an FP argument register
+// certifies exactly as the same streams built as a kernel do. z = a·x + y
+// over three disjoint arrays has no overlapping stream pair, so
+// SanitizeAuto must elide the tracker on both tiers — which requires the
+// verifier to know f1 is defined at entry.
+func TestSanitizeAutoFloatArg(t *testing.T) {
+	const n, a = 1024, 2.5
+	for _, tier := range []uve.Fidelity{uve.Cycle, uve.Functional} {
+		m := uve.NewMachine(uve.DefaultConfig(), uve.WithSanitize(uve.SanitizeAuto), uve.WithFidelity(tier))
+		x, y, z := m.Float32s(n), m.Float32s(n), m.Float32s(n)
+		x.Fill(func(i int) float64 { return float64(i) })
+		y.Fill(func(i int) float64 { return float64(3 * i) })
+
+		b := uve.NewProgram("axpy3")
+		b.ConfigStream(0, uve.NewLoadStream(x.Base, uve.W4).Linear(n, 1).MustBuild())
+		b.ConfigStream(1, uve.NewLoadStream(y.Base, uve.W4).Linear(n, 1).MustBuild())
+		b.ConfigStream(2, uve.NewStoreStream(z.Base, uve.W4).Linear(n, 1).MustBuild())
+		b.I(uve.VDup(uve.W4, uve.V(3), uve.F(1)))
+		b.Label("loop")
+		b.I(uve.VFMul(uve.W4, uve.V(4), uve.V(3), uve.V(0), uve.None))
+		b.I(uve.VFAdd(uve.W4, uve.V(2), uve.V(4), uve.V(1), uve.None))
+		b.I(uve.BranchStreamNotEnd(0, "loop"))
+		b.I(uve.Halt())
+
+		res, err := m.Run(b.MustBuild(), uve.FloatArg(1, uve.W4, a))
+		if err != nil {
+			t.Fatalf("tier %v: %v", tier, err)
+		}
+		if !res.SanitizerElided {
+			t.Errorf("tier %v: SanitizeAuto did not elide the tracker for three disjoint streams", tier)
+		}
+		if len(res.Collisions) != 0 {
+			t.Errorf("tier %v: collisions %v", tier, res.Collisions)
+		}
+		if got, want := z.At(7), float64(float32(a*7+21)); got != want {
+			t.Errorf("tier %v: z[7] = %v, want %v", tier, got, want)
+		}
+	}
+}
+
+// TestMalformedProgramErrors: a program the Machine runs unverified — here
+// a stream configuration missing its start part, then a read of the stream
+// — fails with an error on both tiers instead of panicking out of Run.
+func TestMalformedProgramErrors(t *testing.T) {
+	for _, tier := range []uve.Fidelity{uve.Cycle, uve.Functional} {
+		m := uve.NewMachine(uve.DefaultConfig(), uve.WithFidelity(tier))
+		x := m.Float32s(64)
+		d := uve.NewLoadStream(x.Base, uve.W4).Linear(8, 1).Linear(8, 8).MustBuild()
+		b := uve.NewProgram("headless")
+		b.I(uve.ConfigStream(0, d)[1:]...)
+		b.I(uve.VFAdd(uve.W4, uve.V(1), uve.V(0), uve.V(0), uve.None))
+		b.I(uve.Halt())
+		p, err := b.Build()
+		if err != nil {
+			t.Fatalf("tier %v: build: %v", tier, err)
+		}
+		res, err := m.Run(p)
+		if err == nil {
+			t.Fatalf("tier %v: malformed program ran to completion: %+v", tier, res)
+		}
+		t.Logf("tier %v: %v", tier, err)
+		if !strings.HasPrefix(err.Error(), "uve: ") || !strings.Contains(err.Error(), "u0") {
+			t.Errorf("tier %v: error %q lacks the uve prefix or the stream", tier, err)
+		}
+	}
+}
