@@ -96,3 +96,16 @@ func LineOf(addr uint64) uint64 { return addr & LineMask }
 
 // SamePage reports whether two byte addresses fall on the same virtual page.
 func SamePage(a, b uint64) bool { return a/PageSize == b/PageSize }
+
+// Enqueue appends v to q, a FIFO whose consumer dequeues by reslicing
+// (q = q[1:]) and so slides through its backing array buf. When the window
+// reaches the end of its array it moves back to the front of buf instead of
+// growing, so a queue that stays within half of len(buf) never reallocates
+// (one that outgrows that falls back to append's growth). The cycle-level
+// units keep their hardware queues this way.
+func Enqueue[T any](q, buf []T, v T) []T {
+	if len(q) == cap(q) && 2*len(q) <= len(buf) {
+		q = buf[:copy(buf, q)]
+	}
+	return append(q, v)
+}

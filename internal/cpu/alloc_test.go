@@ -3,15 +3,48 @@ package cpu
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/isa"
+	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/program"
 )
 
-// TestStepDoesNotAllocate: once warm, the cycle loop of a baseline core
-// recycles its ROB entries and keeps its queues in fixed backing arrays, so
-// a steady scalar loop allocates nothing per cycle.
+// newKernelMachine builds kernel id at size on the variant's Table I
+// machine, as the simulator's run path does.
+func newKernelMachine(t *testing.T, id string, v kernels.Variant, size int) *machine {
+	t.Helper()
+	h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
+	inst := kernels.ByID(id).Build(h, v, size)
+	if inst.Err != nil {
+		t.Fatalf("%s/%s: %v", id, v, inst.Err)
+	}
+	var e *engine.Engine
+	if v == kernels.UVE {
+		ecfg := engine.DefaultConfig()
+		ecfg.VecBytes = v.VecBytes()
+		e = engine.New(ecfg, h)
+	}
+	cfg := DefaultConfig()
+	cfg.VecBytes = v.VecBytes()
+	c := New(cfg, inst.Prog, h, e)
+	for r, val := range inst.IntArgs {
+		c.SetIntReg(r, val)
+	}
+	for r, a := range inst.FPArgs {
+		c.SetFPReg(r, a.W, a.V)
+	}
+	return &machine{core: c, hier: h, eng: e}
+}
+
+// TestStepDoesNotAllocate: once warm, the cycle loop recycles its ROB
+// entries, keeps its queues in fixed backing arrays and carries vector
+// values inline, so a steady run allocates nothing per cycle. Allocations
+// are counted per block of 1,000 Steps: AllocsPerRun floors its mean to an
+// integer, so a per-Step count reads anything below one allocation per
+// cycle as zero. GEMM/SVE covers the destructive-merge operand.
 func TestStepDoesNotAllocate(t *testing.T) {
-	p := program.NewBuilder("spin").
+	spin := program.NewBuilder("spin").
 		I(isa.Li(isa.X(1), 0)).
 		I(isa.Li(isa.X(2), 1)).
 		I(isa.Li(isa.X(3), 1<<40)). // bound: never reached
@@ -21,15 +54,35 @@ func TestStepDoesNotAllocate(t *testing.T) {
 		I(isa.Blt(isa.X(2), isa.X(3), "loop")).
 		I(isa.Halt()).
 		MustBuild()
-	m := newMachine(t, p, false)
-	for i := 0; i < 5000; i++ {
-		m.core.Step()
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *machine
+	}{
+		{"scalar-loop", func(t *testing.T) *machine { return newMachine(t, spin, false) }},
+		{"SAXPY/UVE", func(t *testing.T) *machine { return newKernelMachine(t, "C", kernels.UVE, 65536) }},
+		{"GEMM/SVE", func(t *testing.T) *machine { return newKernelMachine(t, "D", kernels.SVE, 64) }},
 	}
-	before := m.core.Stats.Committed
-	if allocs := testing.AllocsPerRun(2000, m.core.Step); allocs != 0 {
-		t.Fatalf("Core.Step allocates %.2f objects per cycle, want 0", allocs)
-	}
-	if m.core.Stats.Committed == before {
-		t.Fatal("no instruction committed while measuring")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.build(t)
+			for i := 0; i < 20_000; i++ {
+				m.core.Step()
+			}
+			before := m.core.Stats.Committed
+			block := func() {
+				for i := 0; i < 1000; i++ {
+					m.core.Step()
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, block); allocs != 0 {
+				t.Errorf("%.0f allocations per 1,000 cycles, want 0", allocs)
+			}
+			if m.core.Halted() {
+				t.Fatal("halted while measuring: the workload is too small")
+			}
+			if m.core.Stats.Committed == before {
+				t.Fatal("no instruction committed while measuring")
+			}
+		})
 	}
 }

@@ -41,9 +41,8 @@ func (c *Core) commit() {
 		if e.isMem && !e.isLoad {
 			c.commitStore(e)
 		}
-		if e.isLoad && e.lqHeld {
-			c.lqCount--
-			e.lqHeld = false
+		if e.isLoad {
+			c.lq = c.lq[1:] // e is the oldest load
 		}
 		if e.dstClass != isa.ClassNone {
 			c.freePhys(e.dstClass, e.oldPhys)
@@ -90,7 +89,7 @@ func (c *Core) commitStore(e *robEntry) {
 	if sq.bytes > 0 {
 		last := arch.LineOf(sq.addr + uint64(sq.bytes) - 1)
 		for line := arch.LineOf(sq.addr); line <= last; line += arch.LineSize {
-			c.drainQ = enqueue(c.drainQ, c.drainBuf, line)
+			c.drainQ = arch.Enqueue(c.drainQ, c.drainBuf, line)
 		}
 	}
 	sq.live = false
@@ -145,6 +144,10 @@ func (c *Core) squashAfter(keep int) {
 			Cycle: c.cycle, Kind: trace.EvSquash, Arg0: int64(len(c.rob) - 1 - keep),
 		})
 	}
+	keepSeq := int64(-1)
+	if keep >= 0 {
+		keepSeq = c.rob[keep].seq
+	}
 	for i := len(c.rob) - 1; i > keep; i-- {
 		e := c.rob[i]
 		e.squashed = true
@@ -153,10 +156,6 @@ func (c *Core) squashAfter(keep int) {
 		if !e.issued {
 			c.iqCount--
 			c.schedCnt[e.group]--
-		}
-		if e.lqHeld {
-			c.lqCount--
-			e.lqHeld = false
 		}
 		if e.sqHeld {
 			c.removeSQ(e.seq)
@@ -188,6 +187,11 @@ func (c *Core) squashAfter(keep int) {
 		c.robFree = append(c.robFree, e)
 	}
 	c.rob = c.rob[:keep+1]
+	for g := range c.ready {
+		c.ready[g] = dropYounger(c.ready[g], keepSeq)
+	}
+	c.inflight = dropYounger(c.inflight, keepSeq)
+	c.lq = dropYounger(c.lq, keepSeq)
 }
 
 // DrainedStoreLines exposes pending senior-store lines (tests).

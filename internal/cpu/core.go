@@ -71,6 +71,7 @@ type robEntry struct {
 	done       bool
 	execDoneAt int64
 	group      portGroup
+	pending    int // sources not yet written; the entry is ready at 0
 
 	predTaken  bool
 	actTaken   bool
@@ -91,7 +92,6 @@ type robEntry struct {
 	linesPend   int
 	memDone     bool
 	fwdLatency  bool
-	lqHeld      bool
 	sqHeld      bool
 
 	resVal     uint64
@@ -131,6 +131,13 @@ type sqEntry struct {
 	live     bool
 }
 
+// waiter is an entry waiting for a physical register to be written. It
+// records the entry's seq because entries are recycled.
+type waiter struct {
+	e   *robEntry
+	seq int64
+}
+
 type fetchedInst struct {
 	pc        int
 	predTaken bool
@@ -156,6 +163,9 @@ type Core struct {
 	ifetchReadyLine uint64
 	ifetchHaveLine  bool
 	ifetchBusy      bool
+	// ifetchReq is reused for every L1-I miss: at most one is outstanding
+	// (ifetchBusy), and its Done, bound once in New, installs its Line.
+	ifetchReq mem.Req
 
 	// Branch predictor: 2-bit counters, lazily initialized
 	// backward-taken/forward-not-taken. Dense per-PC table (PCs are
@@ -180,12 +190,24 @@ type Core struct {
 	prReady  []bool
 	prFree   []int
 
-	rob      []*robEntry // oldest first; window into robBuf (see enqueue)
+	rob      []*robEntry // oldest first; window into robBuf (see arch.Enqueue)
 	robBuf   []*robEntry
 	robFree  []*robEntry // retired and squashed entries, reused by rename
 	iqCount  int
 	schedCnt [pgCount]int
-	lqCount  int
+
+	// Scheduler state (Table I's per-port schedulers). Each port group's
+	// ready list holds its unissued entries whose sources are all written,
+	// oldest first; an entry with unwritten sources waits on each of them in
+	// waiters (per class, per physical register) and joins its ready list
+	// when the last one is written. inflight holds the issued entries not
+	// yet done, and lq the loads holding an LQ entry (a window into lqBuf),
+	// both in program order. A squash truncates each list's youngest suffix.
+	ready    [pgCount][]*robEntry
+	waiters  [isa.ClassPred + 1][][]waiter
+	inflight []*robEntry
+	lq       []*robEntry
+	lqBuf    []*robEntry
 
 	sq       []*sqEntry // program order; preallocated to SQSize
 	sqFree   []*sqEntry
@@ -252,6 +274,12 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 		c.bp[i] = bpUnset
 	}
 	c.effVecBytes = cfg.VecBytes
+	c.ifetchReq.Done = func(int64) {
+		c.activity++
+		c.ifetchBusy = false
+		c.ifetchHaveLine = true
+		c.ifetchReadyLine = c.ifetchReq.Line
+	}
 
 	alloc := func(n, archN int) (free []int) {
 		for i := archN; i < n; i++ {
@@ -259,6 +287,10 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 		}
 		return free
 	}
+	c.waiters[isa.ClassInt] = make([][]waiter, cfg.IntPRF)
+	c.waiters[isa.ClassFP] = make([][]waiter, cfg.FPPRF)
+	c.waiters[isa.ClassVec] = make([][]waiter, cfg.VecPRF)
+	c.waiters[isa.ClassPred] = make([][]waiter, cfg.PredPRF)
 	c.intVal = make([]uint64, cfg.IntPRF)
 	c.intReady = make([]bool, cfg.IntPRF)
 	c.intFree = alloc(cfg.IntPRF, isa.NumIntRegs)
@@ -293,6 +325,11 @@ func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine
 	// Fixed backing arrays: twice each bound, so the sliding windows move
 	// back to the front at most once per bound's worth of dequeues.
 	c.robBuf = make([]*robEntry, 2*cfg.ROBSize)
+	c.lqBuf = make([]*robEntry, 2*cfg.LQSize)
+	c.inflight = make([]*robEntry, 0, cfg.ROBSize)
+	for g := range c.ready {
+		c.ready[g] = make([]*robEntry, 0, cfg.SchedSize)
+	}
 	c.decodeBuf = make([]fetchedInst, 2*cfg.DecodeQueue)
 	c.drainBuf = make([]uint64, 2*cfg.SQSize)
 	c.sq = make([]*sqEntry, 0, cfg.SQSize)
@@ -519,25 +556,88 @@ func (c *Core) physReady(class isa.RegClass, phys int) bool {
 	return true
 }
 
-func (c *Core) writePhys(class isa.RegClass, phys int, v uint64, vec isa.VecVal, pr isa.PredVal) {
+// writeback writes an entry's result into its destination register and
+// wakes the entries waiting on it.
+func (c *Core) writeback(e *robEntry) {
+	p := e.newPhys
+	switch e.dstClass {
+	case isa.ClassInt:
+		if p != 0 {
+			c.intVal[p] = e.resVal
+		}
+	case isa.ClassFP:
+		c.fpVal[p] = e.resVal
+	case isa.ClassVec:
+		c.vecVal[p] = e.resVec
+	case isa.ClassPred:
+		if p != 0 {
+			c.prVal[p] = e.resPred
+		}
+	}
+	c.markReady(e.dstClass, p)
+}
+
+// markReady makes a physical register readable and wakes its waiters: an
+// entry whose last unwritten source this was joins its ready list.
+func (c *Core) markReady(class isa.RegClass, phys int) {
 	switch class {
 	case isa.ClassInt:
-		if phys != 0 {
-			c.intVal[phys] = v
-		}
 		c.intReady[phys] = true
 	case isa.ClassFP:
-		c.fpVal[phys] = v
 		c.fpReady[phys] = true
 	case isa.ClassVec:
-		c.vecVal[phys] = vec
 		c.vecReady[phys] = true
 	case isa.ClassPred:
-		if phys != 0 {
-			c.prVal[phys] = pr
-		}
 		c.prReady[phys] = true
 	}
+	ws := c.waiters[class][phys]
+	for _, w := range ws {
+		if w.e.seq != w.seq || w.e.squashed {
+			continue
+		}
+		if w.e.pending--; w.e.pending == 0 {
+			c.ready[w.e.group] = insertBySeq(c.ready[w.e.group], w.e)
+		}
+	}
+	c.waiters[class][phys] = ws[:0]
+}
+
+// dispatch enters a renamed entry into the scheduler: it waits on each
+// unwritten source, or joins its group's ready list when none is left. The
+// entry is the youngest, so appending keeps the list in age order.
+func (c *Core) dispatch(e *robEntry) {
+	for i, cl := range e.srcClass {
+		if cl == isa.ClassNone || c.physReady(cl, e.srcPhys[i]) {
+			continue
+		}
+		e.pending++
+		ws := &c.waiters[cl][e.srcPhys[i]]
+		*ws = append(*ws, waiter{e: e, seq: e.seq})
+	}
+	if e.pending == 0 {
+		c.ready[e.group] = append(c.ready[e.group], e)
+	}
+}
+
+// insertBySeq inserts e into the age-ordered list l.
+func insertBySeq(l []*robEntry, e *robEntry) []*robEntry {
+	l = append(l, e)
+	i := len(l) - 1
+	for ; i > 0 && l[i-1].seq > e.seq; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = e
+	return l
+}
+
+// dropYounger truncates the age-ordered list l to its entries no younger
+// than seq.
+func dropYounger(l []*robEntry, seq int64) []*robEntry {
+	n := len(l)
+	for n > 0 && l[n-1].seq > seq {
+		n--
+	}
+	return l[:n]
 }
 
 func (c *Core) freeListOf(class isa.RegClass) *[]int {
@@ -575,6 +675,8 @@ func (c *Core) allocPhys(class isa.RegClass) (int, bool) {
 	}
 	p := (*fl)[len(*fl)-1]
 	*fl = (*fl)[:len(*fl)-1]
+	// Anything still waiting on p waited on a squashed incarnation.
+	c.waiters[class][p] = c.waiters[class][p][:0]
 	switch class {
 	case isa.ClassInt:
 		c.intReady[p] = false
@@ -600,19 +702,7 @@ func (c *Core) freePhys(class isa.RegClass, p int) {
 	*fl = append(*fl, p)
 }
 
-// --- allocation-free queues and entry pools ---
-
-// enqueue appends v to q, a FIFO whose consumer dequeues by reslicing
-// (q = q[1:]) and so slides through its backing array buf. When the window
-// reaches the end of its array it moves back to the front of buf instead of
-// growing, so a queue that stays within half of len(buf) never reallocates
-// (one that outgrows that falls back to append's growth).
-func enqueue[T any](q, buf []T, v T) []T {
-	if len(q) == cap(q) && 2*len(q) <= len(buf) {
-		q = buf[:copy(buf, q)]
-	}
-	return append(q, v)
-}
+// --- entry pools ---
 
 // newEntry returns a cleared ROB entry, reusing a retired or squashed one
 // (and its slices' capacity) when available. At most ROBSize entries are
@@ -624,7 +714,11 @@ func (c *Core) newEntry() *robEntry {
 	}
 	e := c.robFree[n-1]
 	c.robFree = c.robFree[:n-1]
-	*e = robEntry{laneAddrs: e.laneAddrs[:0], lines: e.lines[:0], consumes: e.consumes[:0]}
+	// Clearing in place and then restoring the slices avoids building a
+	// cleared copy and copying it over the entry.
+	laneAddrs, lines, consumes := e.laneAddrs[:0], e.lines[:0], e.consumes[:0]
+	*e = robEntry{}
+	e.laneAddrs, e.lines, e.consumes = laneAddrs, lines, consumes
 	return e
 }
 

@@ -113,10 +113,7 @@ func (c *Core) maybeSkip() {
 // events bound.
 func (c *Core) nextEventAt() int64 {
 	next := mem.NoEvent
-	for _, e := range c.rob {
-		if e.squashed || e.done || !e.issued {
-			continue
-		}
+	for _, e := range c.inflight {
 		if e.execDoneAt > c.cycle && e.execDoneAt < next {
 			next = e.execDoneAt
 		}
@@ -133,7 +130,7 @@ func (c *Core) nextEventAt() int64 {
 // conflict-blocked and stream-overlap-blocked loads are pure waits whose
 // unblocking is driven by other entries' events.
 func (c *Core) memPhaseBusy() bool {
-	for _, e := range c.rob {
+	for _, e := range c.lq {
 		if !loadEligible(e) {
 			continue
 		}

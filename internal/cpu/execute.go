@@ -10,22 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// srcsReady reports whether every renamed source value is available.
-func (c *Core) srcsReady(e *robEntry) bool {
-	for i, cl := range e.srcClass {
-		if cl == isa.ClassNone {
-			continue
-		}
-		if !c.physReady(cl, e.srcPhys[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // issue selects ready instructions oldest-first, bounded by the issue width
 // and per-port functional-unit counts (Table I: 2 int ALUs, 2 vector/FP
-// units, 2 load + 1 store ports).
+// units, 2 load + 1 store ports): it repeatedly takes the oldest head among
+// the ready lists whose group still has a free unit.
 func (c *Core) issue() {
 	caps := [pgCount]int{
 		pgInt:   c.cfg.IntALUs,
@@ -33,31 +21,34 @@ func (c *Core) issue() {
 		pgLoad:  c.cfg.LoadPorts,
 		pgStore: c.cfg.StorePorts,
 	}
-	var used [pgCount]int
-	issued := 0
-	for _, e := range c.rob {
-		if issued >= c.cfg.IssueWidth {
+	var used [pgCount]int // also each ready list's issued prefix
+	for issued := 0; issued < c.cfg.IssueWidth; issued++ {
+		g := pgCount
+		for k := range c.ready {
+			if used[k] < caps[k] && used[k] < len(c.ready[k]) &&
+				(g == pgCount || c.ready[k][used[k]].seq < c.ready[g][used[g]].seq) {
+				g = portGroup(k)
+			}
+		}
+		if g == pgCount {
 			break
 		}
-		if e.issued || e.squashed {
-			continue
-		}
-		if used[e.group] >= caps[e.group] {
-			continue
-		}
-		if !c.srcsReady(e) {
-			continue
-		}
+		e := c.ready[g][used[g]]
+		used[g]++
 		e.issued = true
 		c.iqCount--
-		c.schedCnt[e.group]--
-		used[e.group]++
-		issued++
+		c.schedCnt[g]--
 		c.activity++
 		if c.tracing {
 			c.rec.Emit(trace.Event{Cycle: c.cycle, Kind: trace.EvIssue, Arg0: int64(e.pc), Arg1: e.seq})
 		}
+		c.inflight = insertBySeq(c.inflight, e)
 		c.execute(e)
+	}
+	for g, n := range used {
+		if n > 0 {
+			c.ready[g] = c.ready[g][:copy(c.ready[g], c.ready[g][n:])]
+		}
 	}
 }
 
@@ -68,11 +59,14 @@ func (c *Core) operandU64(e *robEntry, i int) uint64 {
 	return c.readVal(e.srcClass[i], e.srcPhys[i])
 }
 
-func (c *Core) operandVec(e *robEntry, i int) isa.VecVal {
+// noVec is the absent operand read for a non-vector source.
+var noVec isa.VecVal
+
+func (c *Core) operandVec(e *robEntry, i int) *isa.VecVal {
 	if e.srcClass[i] != isa.ClassVec {
-		return isa.VecVal{}
+		return &noVec
 	}
-	return c.vecVal[e.srcPhys[i]]
+	return &c.vecVal[e.srcPhys[i]]
 }
 
 func (c *Core) operandPred(e *robEntry) isa.PredVal {
@@ -147,8 +141,8 @@ func (c *Core) execute(e *robEntry) {
 		e.resVal = isa.EvalFP(op, in.W, c.operandU64(e, 0), c.operandU64(e, 1), c.operandU64(e, 2), in.Imm)
 
 	case op == isa.OpVFAddV || op == isa.OpVFMaxV || op == isa.OpVFMinV:
-		bits := isa.EvalVecHoriz(op, in.W, c.operandVec(e, 0))
-		e.resVec = isa.VecFrom(in.W, []uint64{bits})
+		e.resVec = isa.NewVec(in.W, 1)
+		e.resVec.SetLane(0, isa.EvalVecHoriz(op, in.W, c.operandVec(e, 0)))
 	case op == isa.OpVFAddVF || op == isa.OpVFMaxVF || op == isa.OpVFMinVF:
 		e.resVal = isa.EvalVecHoriz(op, in.W, c.operandVec(e, 0))
 
@@ -169,13 +163,12 @@ func (c *Core) execute(e *robEntry) {
 		if in.Dst.Class == isa.ClassVec {
 			for i, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
 				if r.Class == isa.ClassVec && r.N == in.Dst.N {
-					mv := c.operandVec(e, i)
-					args.Merge = &mv
+					args.Merge = c.operandVec(e, i)
 					break
 				}
 			}
 		}
-		e.resVec = isa.EvalVecALU(op, args)
+		isa.EvalVecALU(op, &args, &e.resVec)
 
 	case op == isa.OpLoad || op == isa.OpFLoad:
 		e.agDone = true
@@ -205,8 +198,9 @@ func (c *Core) execute(e *robEntry) {
 	case op == isa.OpVLoadG:
 		e.agDone = true
 		pred := c.operandPred(e)
+		// A gather reads at most as many lanes as its destination holds.
 		idx := c.operandVec(e, 1)
-		lanes := pred.Limit(idx.N)
+		lanes := pred.Limit(min(idx.N, isa.MaxLanes(in.W)))
 		base := c.operandU64(e, 0)
 		e.memLanes = lanes
 		e.memBytes = lanes * int(in.W)
@@ -256,7 +250,10 @@ func (c *Core) execute(e *robEntry) {
 			sq.addr = e.addr
 			sq.bytes = e.memBytes
 			sq.w = in.W
-			sq.lanes = append(sq.lanes[:0], data.L[:lanes]...)
+			sq.lanes = sq.lanes[:0]
+			for i := 0; i < lanes; i++ {
+				sq.lanes = append(sq.lanes, data.Lane(i))
+			}
 			sq.resolved = true
 		}
 		if e.memBytes > 0 {
@@ -347,7 +344,7 @@ func (c *Core) loadStreamBlocked(e *robEntry) bool {
 // stream-store overlap checks, translation, and line requests.
 func (c *Core) memPhase() {
 	ports := c.cfg.LoadPorts // line requests issuable this cycle
-	for _, e := range c.rob {
+	for _, e := range c.lq {
 		if !loadEligible(e) {
 			continue
 		}
@@ -420,43 +417,37 @@ func (c *Core) loadLineArrived(e *robEntry, seq int64, now int64) {
 	case isa.OpFLoad:
 		e.resVal = c.hier.Mem.Read(e.addr, w)
 	case isa.OpVLoad:
-		lanes := make([]uint64, e.memLanes)
-		for i := range lanes {
-			lanes[i] = c.hier.Mem.Read(e.addr+uint64(i)*uint64(w), w)
+		e.resVec = isa.NewVec(w, e.memLanes)
+		for i := 0; i < e.memLanes; i++ {
+			e.resVec.SetLane(i, c.hier.Mem.Read(e.addr+uint64(i)*uint64(w), w))
 		}
-		e.resVec = isa.VecVal{W: w, N: len(lanes), L: lanes}
 	case isa.OpVLoadG:
-		lanes := make([]uint64, len(e.laneAddrs))
+		e.resVec = isa.NewVec(w, len(e.laneAddrs))
 		for i, a := range e.laneAddrs {
-			lanes[i] = c.hier.Mem.Read(a, w)
+			e.resVec.SetLane(i, c.hier.Mem.Read(a, w))
 		}
-		e.resVec = isa.VecVal{W: w, N: len(lanes), L: lanes}
 	}
 	e.execDoneAt = now + 1
 }
 
 // complete retires execution results into the physical registers, resolves
 // branches (squashing on mispredicts), and feeds output-stream data to the
-// engine.
+// engine. It walks the in-flight list, dropping the entries it completes.
 func (c *Core) complete() {
-	for idx := 0; idx < len(c.rob); idx++ {
-		e := c.rob[idx]
-		if e.squashed || e.done || !e.issued {
+	kept := c.inflight[:0]
+	for _, e := range c.inflight {
+		if e.execDoneAt == 0 || e.execDoneAt > c.cycle ||
+			e.cfgTok != nil && !c.eng.ConfigProcessed(e.cfgTok) { // configuration still queued in the SCROB
+			kept = append(kept, e)
 			continue
-		}
-		if e.execDoneAt == 0 || e.execDoneAt > c.cycle {
-			continue
-		}
-		if e.cfgTok != nil && !c.eng.ConfigProcessed(e.cfgTok) {
-			continue // configuration still queued in the SCROB
 		}
 		e.done = true
 		c.activity++
 		if e.dstClass != isa.ClassNone {
-			c.writePhys(e.dstClass, e.newPhys, e.resVal, e.resVec, e.resPred)
+			c.writeback(e)
 		}
 		if e.produce.consumed && c.eng != nil {
-			c.eng.WriteStoreData(e.produce.slot, e.produce.seq, e.resVec)
+			c.eng.WriteStoreData(e.produce.slot, e.produce.seq, &e.resVec)
 		}
 		if e.isBranch && !e.brResolved {
 			e.brResolved = true
@@ -473,13 +464,25 @@ func (c *Core) complete() {
 				predTarget = e.inst.Target
 			}
 			if e.actTarget != predTarget {
+				// The unvisited entries are younger: the squash takes them.
 				c.Stats.Mispredicts++
-				c.squashAfter(idx)
+				c.inflight = kept
+				c.squashAfter(c.robIndex(e))
 				c.redirect(e.actTarget, c.cfg.MispredictPenalty)
-				return // younger entries are gone
+				return
 			}
 		}
 	}
+	c.inflight = kept
+}
+
+// robIndex returns e's position in the ROB.
+func (c *Core) robIndex(e *robEntry) int {
+	i := len(c.rob) - 1
+	for c.rob[i] != e {
+		i--
+	}
+	return i
 }
 
 // drainStores issues committed (senior) store lines to the memory system.

@@ -4,7 +4,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/engine"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -83,13 +82,8 @@ func (c *Core) fetchLineReady(pc int) bool {
 	}
 	c.ifetchBusy = true
 	c.activity++ // request issue (or the reject tally it triggers below)
-	req := &mem.Req{Line: line, Done: func(int64) {
-		c.activity++
-		c.ifetchBusy = false
-		c.ifetchHaveLine = true
-		c.ifetchReadyLine = line
-	}}
-	if !c.hier.FetchInst(c.cycle, req) {
+	c.ifetchReq.Line = line
+	if !c.hier.FetchInst(c.cycle, &c.ifetchReq) {
 		c.ifetchBusy = false
 	}
 	c.Stats.FetchStallCycles++
@@ -116,7 +110,7 @@ func (c *Core) fetch() {
 				next = in.Target
 			}
 		}
-		c.decodeQ = enqueue(c.decodeQ, c.decodeBuf, fetchedInst{pc: c.fetchPC, predTaken: pred})
+		c.decodeQ = arch.Enqueue(c.decodeQ, c.decodeBuf, fetchedInst{pc: c.fetchPC, predTaken: pred})
 		c.fetchPC = next
 		c.activity++
 		if in.Op == isa.OpHalt {
@@ -198,7 +192,7 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	}
 	isMem := in.Op.IsMem()
 	isLoad := isMem && !in.Op.IsStore()
-	if isLoad && c.lqCount >= c.cfg.LQSize {
+	if isLoad && len(c.lq) >= c.cfg.LQSize {
 		return BlockLQ
 	}
 	if isMem && !isLoad && len(c.sq) >= c.cfg.SQSize {
@@ -312,7 +306,8 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 				panic("cpu: CanConsume/ConsumeChunk disagree")
 			}
 			phys, _ := c.allocPhys(isa.ClassVec)
-			c.writePhys(isa.ClassVec, phys, 0, view.Data, isa.PredVal{})
+			c.vecVal[phys] = view.Data
+			c.markReady(isa.ClassVec, phys)
 			rec := streamRec{
 				slot: cp.slot, seq: view.Seq,
 				prevEnd: view.PrevEnd, prevLast: view.PrevLast,
@@ -395,8 +390,7 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	}
 
 	if isLoad {
-		c.lqCount++
-		e.lqHeld = true
+		c.lq = arch.Enqueue(c.lq, c.lqBuf, e)
 		if c.eng != nil {
 			e.storeStamp = c.eng.ReserveStamp()
 		}
@@ -407,7 +401,8 @@ func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
 	}
 	c.iqCount++
 	c.schedCnt[group]++
-	c.rob = enqueue(c.rob, c.robBuf, e)
+	c.rob = arch.Enqueue(c.rob, c.robBuf, e)
+	c.dispatch(e)
 	return BlockNone
 }
 

@@ -134,10 +134,8 @@ func (e *Engine) allocAndConfigure(u int, d *descriptor.Descriptor) int {
 // ReloadAllFromCommit rewinds every active stream to its committed state
 // (precise-exception recovery: buffered data is re-loaded).
 func (e *Engine) ReloadAllFromCommit() {
-	for _, s := range e.entries {
-		if s != nil && !s.released && s.desc != nil {
-			e.ReloadFromCommit(s.slot)
-		}
+	for _, s := range e.live {
+		e.ReloadFromCommit(s.slot)
 	}
 }
 

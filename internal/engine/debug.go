@@ -23,3 +23,23 @@ func (e *Engine) DumpStreams(w io.Writer) {
 			s.commitPos, s.specPos, s.genPos, s.coreSawEnd, s.pendingStoreLines, s.kind)
 	}
 }
+
+// CheckLiveList reports the first disagreement between the live-stream list
+// and the stream table: the list must hold exactly the configured,
+// unreleased entries, in slot order. Tests call it after every cycle.
+func (e *Engine) CheckLiveList() error {
+	i := 0
+	for slot, s := range e.entries {
+		if s == nil || s.released || s.desc == nil {
+			continue
+		}
+		if i >= len(e.live) || e.live[i] != s {
+			return fmt.Errorf("engine: live list position %d does not hold live slot %d", i, slot)
+		}
+		i++
+	}
+	if i != len(e.live) {
+		return fmt.Errorf("engine: live list holds %d streams, stream table %d", len(e.live), i)
+	}
+	return nil
+}

@@ -325,6 +325,10 @@ type Engine struct {
 	sat       []int // logical stream register → slot, -1 when unmapped
 	entries   []*stream
 	freeSlots []int
+	// live lists the configured, unreleased streams in slot order: the
+	// streams the per-cycle walks visit. configure links a stream in;
+	// releaseSlot and deconfigure unlink it.
+	live []*stream
 
 	scrob    []*scrobEntry
 	building map[int][]*isa.StreamCfgPart // slot → parts accumulated in order
@@ -332,7 +336,8 @@ type Engine struct {
 	vecBytes     int // effective vector length (ss.setvl), affects new configs
 	mrq          []*lineFetch
 	fetchFree    []*lineFetch
-	storeQ       []storeLine
+	storeQ       []storeLine // window into storeBuf (see arch.Enqueue)
+	storeBuf     []storeLine
 	storeReq     mem.Req    // reused for each drained line (Access keeps no pointer)
 	rr           int        // scheduler round-robin cursor
 	cand         []*stream  // scheduler scratch: this cycle's candidates
@@ -383,6 +388,8 @@ func New(cfg Config, h *mem.Hierarchy) *Engine {
 		hier:      h,
 		sat:       make([]int, cfg.LogStreams),
 		entries:   make([]*stream, cfg.PhysStreams),
+		live:      make([]*stream, 0, cfg.PhysStreams),
+		storeBuf:  make([]storeLine, 2*arch.MaxVecBytes), // a chunk commit queues at most MaxVecBytes lines
 		building:  make(map[int][]*isa.StreamCfgPart),
 		lastFlags: make([]flagPair, cfg.LogStreams),
 	}
@@ -544,6 +551,7 @@ func (e *Engine) deconfigure(slot int, building []*isa.StreamCfgPart) {
 		return
 	}
 	e.sanEndSlot(s)
+	e.unlink(s)
 	e.Stats.Regenerations++
 	e.entries[slot] = &stream{
 		slot: slot, epoch: s.epoch + 1, u: s.u,
@@ -680,6 +688,7 @@ func (e *Engine) configure(slot int, d *descriptor.Descriptor) {
 		}
 	}
 	s.it = descriptor.NewIterator(d, s.shadow)
+	e.link(s)
 	e.Stats.ConfigsCompleted++
 	if e.tracing {
 		e.rec.Emit(trace.Event{Cycle: e.now, Kind: trace.EvStreamConfig, Arg0: int64(slot), Arg1: int64(s.u)})
@@ -766,12 +775,30 @@ func trafficOf(s *stream, released bool) StreamTraffic {
 // order. Idempotent — safe to call repeatedly or mid-run.
 func (e *Engine) Traffic() []StreamTraffic {
 	out := append([]StreamTraffic(nil), e.traffic...)
-	for _, s := range e.entries {
-		if s != nil && !s.released && s.desc != nil {
-			out = append(out, trafficOf(s, false))
-		}
+	for _, s := range e.live {
+		out = append(out, trafficOf(s, false))
 	}
 	return out
+}
+
+// link adds a newly configured stream to the live list, in slot order.
+func (e *Engine) link(s *stream) {
+	i := len(e.live)
+	e.live = append(e.live, s)
+	for ; i > 0 && e.live[i-1].slot > s.slot; i-- {
+		e.live[i] = e.live[i-1]
+	}
+	e.live[i] = s
+}
+
+// unlink removes a stream from the live list (a no-op for one not on it).
+func (e *Engine) unlink(s *stream) {
+	for i, l := range e.live {
+		if l == s {
+			e.live = append(e.live[:i], e.live[i+1:]...)
+			return
+		}
+	}
 }
 
 func (e *Engine) releaseSlot(slot int) {
@@ -784,6 +811,7 @@ func (e *Engine) releaseSlot(slot int) {
 	// its descriptor (desc == nil): no work to record.
 	if s.desc != nil {
 		e.traffic = append(e.traffic, trafficOf(s, true))
+		e.unlink(s)
 	}
 	s.released = true
 	s.epoch++ // invalidate in-flight callbacks

@@ -216,7 +216,8 @@ func TestStoreStreamWritesAtCommit(t *testing.T) {
 		for l := range lanes {
 			lanes[l] = isa.FloatBits(arch.W8, float64(i*8+l))
 		}
-		r.e.WriteStoreData(slot, v.Seq, isa.VecFrom(arch.W8, lanes))
+		data := isa.VecFrom(arch.W8, lanes)
+		r.e.WriteStoreData(slot, v.Seq, &data)
 	}
 	// Before commit, memory is untouched.
 	if got := r.h.Mem.ReadFloat(base, arch.W8); got != 0 {
@@ -598,7 +599,8 @@ func TestStoreMayOverlap(t *testing.T) {
 		t.Fatal("false overlap far beyond the stream footprint")
 	}
 	// Committing the chunk clears the hazard window.
-	r.e.WriteStoreData(slot, v.Seq, isa.VecFrom(arch.W4, make([]uint64, v.N)))
+	data := isa.NewVec(arch.W4, v.N)
+	r.e.WriteStoreData(slot, v.Seq, &data)
 	r.e.CommitStore(slot, v.Seq, r.now)
 	if r.e.StoreMayOverlap(base+40, 4, 1<<60) {
 		t.Fatal("overlap persists after commit")

@@ -41,10 +41,7 @@ func (e *Engine) NextEventAt(now int64) int64 {
 	}
 	next := mem.NoEvent
 	var fifoFrozen, mrqFrozen int
-	for _, s := range e.entries {
-		if s == nil || s.released || s.desc == nil {
-			continue
-		}
+	for _, s := range e.live {
 		if s.wantsGen(now) {
 			switch e.genFrozen(s) {
 			case genFrozenFIFO:

@@ -177,8 +177,8 @@ func (e *Engine) genFrozen(s *stream) genFrozenKind {
 // every cycle it sees candidates, frozen or not.
 func (e *Engine) SkipStallTallies(now, k int64) {
 	var fifoFrozen, mrqFrozen int64
-	for _, s := range e.entries {
-		if s == nil || s.released || s.desc == nil || !s.wantsGen(now) {
+	for _, s := range e.live {
+		if !s.wantsGen(now) {
 			continue
 		}
 		switch e.genFrozen(s) {
@@ -520,7 +520,7 @@ func (e *Engine) Unconsume(slot int, prevEnd uint16, prevLast bool) {
 
 // WriteStoreData delivers computed lanes for a reserved store chunk (at the
 // producing instruction's writeback).
-func (e *Engine) WriteStoreData(slot int, seq int64, v isa.VecVal) {
+func (e *Engine) WriteStoreData(slot int, seq int64, v *isa.VecVal) {
 	s := e.entries[slot]
 	if s == nil || s.released || seq < s.commitPos || seq >= s.specPos {
 		return
@@ -534,7 +534,7 @@ func (e *Engine) WriteStoreData(slot int, seq int64, v isa.VecVal) {
 		n = v.N
 	}
 	for i := 0; i < n; i++ {
-		c.data[i] = isa.Truncate(s.w, v.L[i])
+		c.data[i] = isa.Truncate(s.w, v.Lane(i))
 	}
 	c.written = true
 }
@@ -583,7 +583,7 @@ func (e *Engine) CommitStore(slot int, seq int64, now int64) {
 			continue
 		}
 		seen = append(seen, l)
-		e.storeQ = append(e.storeQ, storeLine{line: l, level: s.level, s: s})
+		e.storeQ = arch.Enqueue(e.storeQ, e.storeBuf, storeLine{line: l, level: s.level, s: s})
 		s.pendingStoreLines++
 		e.Stats.StoreLines++
 		s.storeLineCnt++
@@ -718,8 +718,8 @@ func (e *Engine) Stop(u int) {
 // the [commit, spec) window matters.
 func (e *Engine) StoreMayOverlap(addr uint64, size int, beforeStamp int64) bool {
 	end := addr + uint64(size) - 1
-	for _, s := range e.entries {
-		if s == nil || s.released || s.desc == nil || s.kind != descriptor.Store {
+	for _, s := range e.live {
+		if s.kind != descriptor.Store {
 			continue
 		}
 		// Cheap reject on the whole-pattern footprint first.
@@ -747,8 +747,8 @@ func (e *Engine) StoreMayOverlap(addr uint64, size int, beforeStamp int64) bool 
 // write happens at commit), so a newly configured input stream may start
 // while the timing drain of older store lines is still in flight.
 func (e *Engine) storeStreamsBusy() bool {
-	for _, s := range e.entries {
-		if s == nil || s.released || s.desc == nil || s.kind != descriptor.Store {
+	for _, s := range e.live {
+		if s.kind != descriptor.Store {
 			continue
 		}
 		if !s.totalKnown || s.commitPos < s.totalChunks {
@@ -764,8 +764,8 @@ func (e *Engine) StoresPending() bool {
 	if len(e.storeQ) > 0 {
 		return true
 	}
-	for _, s := range e.entries {
-		if s != nil && !s.released && s.pendingStoreLines > 0 {
+	for _, s := range e.live {
+		if s.pendingStoreLines > 0 {
 			return true
 		}
 	}
@@ -773,15 +773,7 @@ func (e *Engine) StoresPending() bool {
 }
 
 // ActiveStreams counts configured, unreleased streams.
-func (e *Engine) ActiveStreams() int {
-	n := 0
-	for _, s := range e.entries {
-		if s != nil && !s.released && s.desc != nil {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) ActiveStreams() int { return len(e.live) }
 
 // --- per-cycle operation ---
 
@@ -805,7 +797,7 @@ func (e *Engine) Tick(now int64) {
 // the origin-stall component of the Fig 8.C breakdown. (Before this pass,
 // Stats.OriginStallCycles was declared but never incremented.)
 func (e *Engine) tallyOriginStalls(now int64) {
-	for _, s := range e.entries {
+	for _, s := range e.live {
 		if !e.originStalled(s) {
 			continue
 		}
@@ -816,11 +808,11 @@ func (e *Engine) tallyOriginStalls(now int64) {
 	}
 }
 
-// originStalled reports whether the stream's head chunk is ready but waiting
-// on origin delivery — the condition tallyOriginStalls charges each cycle.
-// NextEventAt shares it so cycles that would tally are never skipped.
+// originStalled reports whether the live stream's head chunk is ready but
+// waiting on origin delivery — the condition tallyOriginStalls charges each
+// cycle. NextEventAt shares it so cycles that would tally are never skipped.
 func (e *Engine) originStalled(s *stream) bool {
-	if s == nil || s.released || s.desc == nil || len(s.originRefs) == 0 {
+	if len(s.originRefs) == 0 {
 		return false
 	}
 	if s.specPos >= s.genPos {
@@ -840,8 +832,8 @@ func (e *Engine) originStalled(s *stream) bool {
 // total; the candidates are sorted in the engine's scratch slice.
 func (e *Engine) schedule(now int64) {
 	cand := e.cand[:0]
-	for _, s := range e.entries {
-		if s != nil && s.desc != nil && s.wantsGen(now) {
+	for _, s := range e.live {
+		if s.wantsGen(now) {
 			cand = append(cand, s)
 		}
 	}
@@ -963,8 +955,8 @@ func storeLevel(l arch.CacheLevel) arch.CacheLevel { return l }
 // advanceEngineConsumed commits chunks of origin streams as their values
 // are settled by dependent streams' address generation.
 func (e *Engine) advanceEngineConsumed() {
-	for _, s := range e.entries {
-		if s == nil || s.released || !s.engineConsumed {
+	for _, s := range e.live {
+		if !s.engineConsumed {
 			continue
 		}
 		for s.commitPos < s.genPos {
@@ -990,16 +982,13 @@ func (e *Engine) advanceEngineConsumed() {
 
 // autoRelease frees streams whose pattern has fully committed — the paper's
 // termination "by committing an instruction that signals the completion of
-// the streaming pattern" (§IV-A).
+// the streaming pattern" (§IV-A). A release unlinks live[i], so the walk
+// stays at i.
 func (e *Engine) autoRelease() {
-	for _, s := range e.entries {
-		if s == nil || s.released || s.desc == nil {
-			continue
-		}
-		if !s.configDone || !s.totalKnown || s.commitPos != s.totalChunks || s.pendingStoreLines > 0 {
-			continue
-		}
-		if !s.coreSawEnd {
+	for i := 0; i < len(e.live); {
+		s := e.live[i]
+		if !s.configDone || !s.totalKnown || s.commitPos != s.totalChunks || s.pendingStoreLines > 0 || !s.coreSawEnd {
+			i++
 			continue
 		}
 		if e.sat[s.u] == s.slot {

@@ -203,6 +203,7 @@ func TestPropStoreStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func vecFromRaw(lanes []uint64) isa.VecVal {
-	return isa.VecFrom(arch.W4, lanes)
+func vecFromRaw(lanes []uint64) *isa.VecVal {
+	v := isa.VecFrom(arch.W4, lanes)
+	return &v
 }

@@ -120,6 +120,10 @@ type Machine struct {
 	byKind    [isa.KindCount]uint64
 
 	stepHook func(pc int)
+
+	// consBuf holds the current instruction's consumed chunks (step is not
+	// reentrant), so a step does not zero a fresh buffer of vector values.
+	consBuf [3]consumedVal
 }
 
 // New builds a functional machine over the program and backing store.
@@ -221,16 +225,19 @@ func (m *Machine) operandU64(r isa.Reg) uint64 {
 	return 0
 }
 
-func (m *Machine) operandVec(r isa.Reg, cons []consumedVal) isa.VecVal {
+// noVec is the absent operand read for a non-vector register.
+var noVec isa.VecVal
+
+func (m *Machine) operandVec(r isa.Reg, cons []consumedVal) *isa.VecVal {
 	if r.Class != isa.ClassVec {
-		return isa.VecVal{}
+		return &noVec
 	}
-	for _, c := range cons {
-		if c.u == r.N {
-			return c.v
+	for i := range cons {
+		if cons[i].u == r.N {
+			return &cons[i].v
 		}
 	}
-	return m.vecR[r.N]
+	return &m.vecR[r.N]
 }
 
 func (m *Machine) operandPred(in *isa.Inst) isa.PredVal {
@@ -268,8 +275,7 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 
 	// Stream consumes: one chunk per distinct live input-stream source,
 	// substituted for all matching occurrences (the rename-stage rule).
-	var consBuf [3]consumedVal
-	cons := consBuf[:0]
+	cons := m.consBuf[:0]
 	var prod *stream
 	if op.HasDataOperands() {
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
@@ -293,7 +299,8 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 			if dup {
 				continue
 			}
-			cons = append(cons, consumedVal{u: r.N, v: m.consume(s)})
+			cons = append(cons, consumedVal{u: r.N})
+			m.consume(s, &cons[len(cons)-1].v)
 		}
 		if in.Dst.Class == isa.ClassVec {
 			if s := m.sat[in.Dst.N]; s != nil && !s.suspended && s.kind == descriptor.Store {
@@ -306,12 +313,12 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 	}
 	// writeVecDst routes a vector result to the output stream when the
 	// destination is one, to the architectural register otherwise.
-	writeVecDst := func(v isa.VecVal) {
+	writeVecDst := func(v *isa.VecVal) {
 		if prod != nil {
 			m.produce(prod, v)
 			return
 		}
-		m.vecR[in.Dst.N] = v
+		m.vecR[in.Dst.N] = *v
 	}
 
 	switch {
@@ -400,8 +407,9 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 			m.operandU64(in.Src1), m.operandU64(in.Src2), m.operandU64(in.Src3), in.Imm))
 
 	case op == isa.OpVFAddV || op == isa.OpVFMaxV || op == isa.OpVFMinV:
-		bits := isa.EvalVecHoriz(op, in.W, m.operandVec(in.Src1, cons))
-		writeVecDst(isa.VecFrom(in.W, []uint64{bits}))
+		res := isa.NewVec(in.W, 1)
+		res.SetLane(0, isa.EvalVecHoriz(op, in.W, m.operandVec(in.Src1, cons)))
+		writeVecDst(&res)
 	case op == isa.OpVFAddVF || op == isa.OpVFMaxVF || op == isa.OpVFMinVF:
 		m.writeScalar(in.Dst, isa.EvalVecHoriz(op, in.W, m.operandVec(in.Src1, cons)))
 
@@ -419,15 +427,15 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 		if in.Dst.Class == isa.ClassVec {
 			for i, r := range [...]isa.Reg{in.Src1, in.Src2, in.Src3} {
 				if r.Class == isa.ClassVec && r.N == in.Dst.N {
-					mv := [...]isa.VecVal{args.A, args.B, args.C}[i]
-					args.Merge = &mv
+					args.Merge = [...]*isa.VecVal{args.A, args.B, args.C}[i]
 					break
 				}
 			}
 		}
-		res := isa.EvalVecALU(op, args)
+		var res isa.VecVal
+		isa.EvalVecALU(op, &args, &res)
 		if in.Dst.Class == isa.ClassVec {
-			writeVecDst(res)
+			writeVecDst(&res)
 		}
 
 	case op == isa.OpLoad || op == isa.OpFLoad:
@@ -437,29 +445,28 @@ func (m *Machine) step(pc int) (next int, halt bool, err error) {
 	case op == isa.OpVLoad:
 		lanes := m.operandPred(&in).Limit(m.lanes(in.W))
 		addr := m.operandU64(in.Src1) + (m.operandU64(in.Src2)+uint64(in.Imm))*uint64(in.W)
-		if lanes == 0 {
-			writeVecDst(isa.VecVal{W: in.W})
-			break
+		res := isa.VecVal{W: in.W}
+		if lanes > 0 {
+			res = isa.NewVec(in.W, lanes)
+			for i := 0; i < lanes; i++ {
+				res.SetLane(i, m.mem.Read(addr+uint64(i)*uint64(in.W), in.W))
+			}
 		}
-		out := isa.VecVal{W: in.W, N: lanes, L: make([]uint64, lanes)}
-		for i := 0; i < lanes; i++ {
-			out.L[i] = m.mem.Read(addr+uint64(i)*uint64(in.W), in.W)
-		}
-		writeVecDst(out)
+		writeVecDst(&res)
 
 	case op == isa.OpVLoadG:
+		// A gather reads at most as many lanes as its destination holds.
 		idx := m.operandVec(in.Src2, cons)
-		lanes := m.operandPred(&in).Limit(idx.N)
+		lanes := m.operandPred(&in).Limit(min(idx.N, isa.MaxLanes(in.W)))
 		base := m.operandU64(in.Src1)
-		if lanes == 0 {
-			writeVecDst(isa.VecVal{W: in.W})
-			break
+		res := isa.VecVal{W: in.W}
+		if lanes > 0 {
+			res = isa.NewVec(in.W, lanes)
+			for l := 0; l < lanes; l++ {
+				res.SetLane(l, m.mem.Read(base+idx.Lane(l)*uint64(in.W), in.W))
+			}
 		}
-		out := isa.VecVal{W: in.W, N: lanes, L: make([]uint64, lanes)}
-		for l := 0; l < lanes; l++ {
-			out.L[l] = m.mem.Read(base+idx.Lane(l)*uint64(in.W), in.W)
-		}
-		writeVecDst(out)
+		writeVecDst(&res)
 
 	case op == isa.OpStore || op == isa.OpFStore:
 		addr := m.operandU64(in.Src1) + uint64(in.Imm)
@@ -600,32 +607,33 @@ func (m *Machine) generate(s *stream) error {
 	return nil
 }
 
-// consume pops the next chunk of a load stream, reading its element data
-// from memory. Past the end it returns the synthetic-end view: zero data,
-// flags unchanged. Consuming the final chunk releases the instance (the
-// consume and its commit collapse onto the same program-order step).
-func (m *Machine) consume(s *stream) isa.VecVal {
+// consume pops the next chunk of a load stream into dst, reading its
+// element data from memory. Past the end it yields the synthetic-end view:
+// an absent value, flags unchanged. Consuming the final chunk releases the
+// instance (the consume and its commit collapse onto the same program-order
+// step).
+func (m *Machine) consume(s *stream, dst *isa.VecVal) {
 	if s.pos >= len(s.chunks) {
-		return isa.VecVal{}
+		*dst = isa.VecVal{}
+		return
 	}
-	c := s.chunks[s.pos]
+	c := &s.chunks[s.pos]
 	s.pos++
-	out := isa.VecVal{W: s.w, N: len(c.addrs), L: make([]uint64, len(c.addrs))}
+	*dst = isa.NewVec(s.w, len(c.addrs))
 	for i, a := range c.addrs {
-		out.L[i] = m.mem.Read(a, s.w)
+		dst.SetLane(i, m.mem.Read(a, s.w))
 	}
 	s.lastEnd, s.lastLast = c.end, c.last
 	if s.pos == len(s.chunks) {
 		m.release(s)
 	}
-	return out
 }
 
 // produce fills the next chunk of a store stream and writes it to memory
 // (the producing instruction's writeback and the chunk's commit collapse
 // onto the same step). Lanes the producer did not supply store zero, as the
 // engine's chunk buffers do.
-func (m *Machine) produce(s *stream, v isa.VecVal) {
+func (m *Machine) produce(s *stream, v *isa.VecVal) {
 	if s.pos >= len(s.chunks) {
 		return
 	}

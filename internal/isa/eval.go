@@ -127,9 +127,11 @@ func EvalFP(op Op, w arch.ElemWidth, a, b, c uint64, imm int64) uint64 {
 	panic(fmt.Sprintf("EvalFP: not an FP op: %s", op.Name()))
 }
 
-// VecArgs carries the operand values of a vector ALU operation.
+// VecArgs carries the operand values of a vector ALU operation. The
+// operands are pointers into the caller's register file (or scratch); the
+// evaluation only reads them.
 type VecArgs struct {
-	A, B, C VecVal
+	A, B, C *VecVal
 	Scalar  uint64 // FP or integer scalar operand bits (dup)
 	Pred    PredVal
 	Lanes   int // architected lane count for the operating width
@@ -143,11 +145,11 @@ type VecArgs struct {
 }
 
 // laneCount determines the number of result lanes: the predicate limit
-// intersected with every vector operand's valid lane count.
-func (a *VecArgs) laneCount(ops ...VecVal) int {
+// intersected with every present vector operand's valid lane count.
+func (a *VecArgs) laneCount(x, y, z *VecVal) int {
 	n := a.Pred.Limit(a.Lanes)
-	for _, v := range ops {
-		if v.L != nil && v.N < n {
+	for _, v := range [...]*VecVal{x, y, z} {
+		if v != nil && v.present && v.N < n {
 			n = v.N
 		}
 	}
@@ -157,128 +159,128 @@ func (a *VecArgs) laneCount(ops ...VecVal) int {
 	return n
 }
 
-// EvalVecALU computes a vector ALU result. Lanes beyond the computed count
-// are absent (zeroing predication; the baselines' predicated stores use the
-// same predicate so trimmed lanes are never observable, and UVE chunks carry
-// their own lane counts).
-func EvalVecALU(op Op, args VecArgs) VecVal {
+// frame prepares out for n computed lanes: a fresh vector, or a copy of the
+// merge operand when it has lanes beyond n to keep.
+func (a *VecArgs) frame(out *VecVal, n int) {
+	if a.Merge == nil || a.Merge.N <= n {
+		*out = NewVec(a.W, n)
+		return
+	}
+	*out = *a.Merge
+	out.present = true
+}
+
+// fbin computes a lane-wise floating-point binary operation of A and B.
+func (a *VecArgs) fbin(out *VecVal, f func(x, y float64) float64) {
+	n := a.laneCount(a.A, a.B, nil)
+	a.frame(out, n)
+	for i := 0; i < n; i++ {
+		out.SetLane(i, floatToBits(a.W, f(a.A.F(i), a.B.F(i))))
+	}
+}
+
+// ibin computes a lane-wise signed integer binary operation of A and B.
+func (a *VecArgs) ibin(out *VecVal, f func(x, y int64) int64) {
+	w := a.W
+	n := a.laneCount(a.A, a.B, nil)
+	a.frame(out, n)
+	for i := 0; i < n; i++ {
+		out.SetLane(i, Truncate(w, uint64(f(SignExtend(w, a.A.Lane(i)), SignExtend(w, a.B.Lane(i))))))
+	}
+}
+
+// EvalVecALU computes a vector ALU result into out, which must not alias an
+// operand. Lanes beyond the computed count are absent (zeroing predication;
+// the baselines' predicated stores use the same predicate so trimmed lanes
+// are never observable, and UVE chunks carry their own lane counts).
+func EvalVecALU(op Op, args *VecArgs, out *VecVal) {
 	w := args.W
 	switch op {
 	case OpVDup, OpVDupX:
-		out := NewVec(w, args.Pred.Limit(args.Lanes))
-		for i := range out.L {
-			out.L[i] = args.Scalar
+		*out = NewVec(w, args.Pred.Limit(args.Lanes))
+		for i := 0; i < out.N; i++ {
+			out.SetLane(i, args.Scalar)
 		}
-		return out
 	case OpVMove:
-		out := args.A.Clone()
+		*out = *args.A
+		out.present = out.N > 0
 		if n := args.Pred.Limit(args.Lanes); out.N > n {
-			out.N, out.L = n, out.L[:n]
+			out.truncate(n)
 		}
-		return out
 	case OpVExtract:
-		return VecFrom(w, []uint64{args.A.Lane(int(args.Scalar))})
+		*out = NewVec(w, 1)
+		out.SetLane(0, args.A.Lane(int(args.Scalar)))
 	case OpVBcast:
-		out := NewVec(w, args.Pred.Limit(args.Lanes))
-		for i := range out.L {
-			out.L[i] = args.A.Lane(0)
+		*out = NewVec(w, args.Pred.Limit(args.Lanes))
+		for i := 0; i < out.N; i++ {
+			out.SetLane(i, args.A.Lane(0))
 		}
-		return out
-	}
 
-	// frame prepares the output vector: active lanes are computed, lanes
-	// beyond them merge the old destination when one is supplied.
-	frame := func(n int) VecVal {
-		if args.Merge == nil || args.Merge.N <= n {
-			return NewVec(w, n)
-		}
-		out := args.Merge.Clone()
-		return out
-	}
-	fbin := func(f func(x, y float64) float64, a, b VecVal) VecVal {
-		n := args.laneCount(a, b)
-		out := frame(n)
-		for i := 0; i < n; i++ {
-			out.L[i] = floatToBits(w, f(a.F(i), b.F(i)))
-		}
-		return out
-	}
-	ibin := func(f func(x, y int64) int64, a, b VecVal) VecVal {
-		n := args.laneCount(a, b)
-		out := frame(n)
-		for i := 0; i < n; i++ {
-			out.L[i] = Truncate(w, uint64(f(SignExtend(w, a.Lane(i)), SignExtend(w, b.Lane(i)))))
-		}
-		return out
-	}
-
-	switch op {
 	case OpVFAdd:
-		return fbin(func(x, y float64) float64 { return x + y }, args.A, args.B)
+		args.fbin(out, func(x, y float64) float64 { return x + y })
 	case OpVFSub:
-		return fbin(func(x, y float64) float64 { return x - y }, args.A, args.B)
+		args.fbin(out, func(x, y float64) float64 { return x - y })
 	case OpVFMul:
-		return fbin(func(x, y float64) float64 { return x * y }, args.A, args.B)
+		args.fbin(out, func(x, y float64) float64 { return x * y })
 	case OpVFDiv:
-		return fbin(func(x, y float64) float64 { return x / y }, args.A, args.B)
+		args.fbin(out, func(x, y float64) float64 { return x / y })
 	case OpVFMax:
-		return fbin(math.Max, args.A, args.B)
+		args.fbin(out, math.Max)
 	case OpVFMin:
-		return fbin(math.Min, args.A, args.B)
+		args.fbin(out, math.Min)
 	case OpVFSqrt:
-		n := args.laneCount(args.A)
-		out := frame(n)
+		n := args.laneCount(args.A, nil, nil)
+		args.frame(out, n)
 		for i := 0; i < n; i++ {
-			out.L[i] = floatToBits(w, math.Sqrt(args.A.F(i)))
+			out.SetLane(i, floatToBits(w, math.Sqrt(args.A.F(i))))
 		}
-		return out
 	case OpVFMla, OpVFMulAdd:
 		// OpVFMla: dst = C + A·B (C is the old dst); OpVFMulAdd: dst = A·B + C.
 		n := args.laneCount(args.A, args.B, args.C)
-		out := frame(n)
+		args.frame(out, n)
 		for i := 0; i < n; i++ {
 			if w == arch.W4 {
-				out.L[i] = floatToBits(w, float64(float32(args.A.F(i))*float32(args.B.F(i))+float32(args.C.F(i))))
+				out.SetLane(i, floatToBits(w, float64(float32(args.A.F(i))*float32(args.B.F(i))+float32(args.C.F(i)))))
 			} else {
-				out.L[i] = floatToBits(w, args.A.F(i)*args.B.F(i)+args.C.F(i))
+				out.SetLane(i, floatToBits(w, args.A.F(i)*args.B.F(i)+args.C.F(i)))
 			}
 		}
-		return out
 	case OpVAdd:
-		return ibin(func(x, y int64) int64 { return x + y }, args.A, args.B)
+		args.ibin(out, func(x, y int64) int64 { return x + y })
 	case OpVSub:
-		return ibin(func(x, y int64) int64 { return x - y }, args.A, args.B)
+		args.ibin(out, func(x, y int64) int64 { return x - y })
 	case OpVMul:
-		return ibin(func(x, y int64) int64 { return x * y }, args.A, args.B)
+		args.ibin(out, func(x, y int64) int64 { return x * y })
 	case OpVMax:
-		return ibin(func(x, y int64) int64 {
+		args.ibin(out, func(x, y int64) int64 {
 			if x > y {
 				return x
 			}
 			return y
-		}, args.A, args.B)
+		})
 	case OpVMin:
-		return ibin(func(x, y int64) int64 {
+		args.ibin(out, func(x, y int64) int64 {
 			if x < y {
 				return x
 			}
 			return y
-		}, args.A, args.B)
+		})
 	case OpVAnd:
-		return ibin(func(x, y int64) int64 { return x & y }, args.A, args.B)
+		args.ibin(out, func(x, y int64) int64 { return x & y })
 	case OpVOr:
-		return ibin(func(x, y int64) int64 { return x | y }, args.A, args.B)
+		args.ibin(out, func(x, y int64) int64 { return x | y })
 	case OpVXor:
-		return ibin(func(x, y int64) int64 { return x ^ y }, args.A, args.B)
+		args.ibin(out, func(x, y int64) int64 { return x ^ y })
+	default:
+		panic(fmt.Sprintf("EvalVecALU: not a vector ALU op: %s", op.Name()))
 	}
-	panic(fmt.Sprintf("EvalVecALU: not a vector ALU op: %s", op.Name()))
 }
 
 // EvalVecHoriz reduces a vector's valid lanes to a single value (raw bits).
 // Reducing zero lanes yields the operation's identity (0 for add, and the
 // first-lane default of 0 for max/min, matching hardware's behavior on an
 // all-false predicate).
-func EvalVecHoriz(op Op, w arch.ElemWidth, v VecVal) uint64 {
+func EvalVecHoriz(op Op, w arch.ElemWidth, v *VecVal) uint64 {
 	switch op {
 	case OpVFAddV, OpVFAddVF:
 		acc := 0.0

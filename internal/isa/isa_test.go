@@ -94,12 +94,20 @@ func TestEvalFPSinglePrecisionRounds(t *testing.T) {
 	}
 }
 
-func vec(w arch.ElemWidth, fs ...float64) VecVal {
+func vec(w arch.ElemWidth, fs ...float64) *VecVal {
 	l := make([]uint64, len(fs))
 	for i, f := range fs {
 		l[i] = FloatBits(w, f)
 	}
-	return VecFrom(w, l)
+	v := VecFrom(w, l)
+	return &v
+}
+
+// eval runs EvalVecALU into a fresh value.
+func eval(op Op, args VecArgs) VecVal {
+	var out VecVal
+	EvalVecALU(op, &args, &out)
+	return out
 }
 
 func TestEvalVecALUFloat(t *testing.T) {
@@ -108,7 +116,7 @@ func TestEvalVecALUFloat(t *testing.T) {
 		A: vec(w, 1, 2, 3, 4), B: vec(w, 10, 20, 30, 40),
 		Pred: AllLanes, Lanes: 8, W: w,
 	}
-	out := EvalVecALU(OpVFAdd, args)
+	out := eval(OpVFAdd, args)
 	if out.N != 4 {
 		t.Fatalf("lane count %d, want 4 (min of operands)", out.N)
 	}
@@ -125,7 +133,7 @@ func TestEvalVecALUPredicateLimits(t *testing.T) {
 		A: vec(w, 1, 2, 3, 4), B: vec(w, 1, 1, 1, 1),
 		Pred: PredVal{Active: 2}, Lanes: 16, W: w,
 	}
-	out := EvalVecALU(OpVFMul, args)
+	out := eval(OpVFMul, args)
 	if out.N != 2 {
 		t.Fatalf("predicated lane count %d, want 2", out.N)
 	}
@@ -137,7 +145,7 @@ func TestEvalVecMulAdd(t *testing.T) {
 		A: vec(w, 1, 2), B: vec(w, 3, 4), C: vec(w, 10, 10),
 		Pred: AllLanes, Lanes: 8, W: w,
 	}
-	out := EvalVecALU(OpVFMulAdd, args)
+	out := eval(OpVFMulAdd, args)
 	if out.F(0) != 13 || out.F(1) != 18 {
 		t.Fatalf("vfmuladd = %v,%v want 13,18", out.F(0), out.F(1))
 	}
@@ -147,12 +155,12 @@ func TestEvalVecIntSignedness(t *testing.T) {
 	w := arch.W4
 	a := VecFrom(w, []uint64{Truncate(w, uint64(int64(-5)&0xffffffff)), 3})
 	b := VecFrom(w, []uint64{2, 2})
-	args := VecArgs{A: a, B: b, Pred: AllLanes, Lanes: 16, W: w}
-	out := EvalVecALU(OpVMax, args)
+	args := VecArgs{A: &a, B: &b, Pred: AllLanes, Lanes: 16, W: w}
+	out := eval(OpVMax, args)
 	if SignExtend(w, out.Lane(0)) != 2 {
 		t.Errorf("vmax lane0 = %d, want 2 (signed compare)", SignExtend(w, out.Lane(0)))
 	}
-	out = EvalVecALU(OpVMin, args)
+	out = eval(OpVMin, args)
 	if SignExtend(w, out.Lane(0)) != -5 {
 		t.Errorf("vmin lane0 = %d, want -5", SignExtend(w, out.Lane(0)))
 	}
@@ -160,7 +168,7 @@ func TestEvalVecIntSignedness(t *testing.T) {
 
 func TestEvalVecDup(t *testing.T) {
 	args := VecArgs{Scalar: FloatBits(arch.W8, 3.5), Pred: AllLanes, Lanes: 8, W: arch.W8}
-	out := EvalVecALU(OpVDup, args)
+	out := eval(OpVDup, args)
 	if out.N != 8 {
 		t.Fatalf("dup lanes %d, want 8", out.N)
 	}
@@ -173,7 +181,7 @@ func TestEvalVecDup(t *testing.T) {
 
 func TestEvalVecMoveClips(t *testing.T) {
 	args := VecArgs{A: vec(arch.W8, 1, 2, 3, 4), Pred: PredVal{Active: 3}, Lanes: 8, W: arch.W8}
-	out := EvalVecALU(OpVMove, args)
+	out := eval(OpVMove, args)
 	if out.N != 3 {
 		t.Fatalf("vmove lanes %d, want 3", out.N)
 	}
@@ -192,7 +200,7 @@ func TestEvalVecHoriz(t *testing.T) {
 		t.Errorf("minv = %v, want -1", got)
 	}
 	empty := VecVal{W: w}
-	if got := EvalVecHoriz(OpVFMaxV, w, empty); got != 0 {
+	if got := EvalVecHoriz(OpVFMaxV, w, &empty); got != 0 {
 		t.Errorf("maxv of empty = %#x, want 0", got)
 	}
 }

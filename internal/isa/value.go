@@ -8,44 +8,81 @@ import (
 	"repro/internal/arch"
 )
 
-// VecVal is the value of a vector register. Lane i of L holds the raw bits
-// of element i, zero-extended to 64 bits. Only the first N lanes are valid:
-// UVE's streaming engine delivers chunks whose N reflects automatic
-// out-of-bounds lane disabling (paper F5), and predicated baseline loads
-// produce N equal to the active-prefix length.
+// VecVal is the value of a vector register: the register image of up to
+// arch.MaxVecBytes bytes, held inline so values copy instead of allocating.
+// Lane i occupies bytes [i·W, (i+1)·W) of the image, little-endian, and
+// holds the raw bits of element i truncated to W bytes. Only the first N
+// lanes are valid: UVE's streaming engine delivers chunks whose N reflects
+// automatic out-of-bounds lane disabling (paper F5), and predicated baseline
+// loads produce N equal to the active-prefix length. At most MaxLanes(W)
+// lanes fit.
+//
+// A value is present or absent. Absent values (the zero VecVal, VecFrom of
+// no lanes, a VecVal{W: w} literal such as an all-inactive load's result)
+// are ignored when EvalVecALU intersects operand lane counts; NewVec always
+// returns a present value, even of zero lanes.
 type VecVal struct {
-	W arch.ElemWidth
-	N int
-	L []uint64
+	W       arch.ElemWidth
+	N       int
+	present bool
+	d       [arch.MaxVecBytes / 8]uint64
 }
 
-// NewVec returns an all-zero vector of n lanes of width w.
+// MaxLanes returns how many lanes of width w a vector value holds.
+func MaxLanes(w arch.ElemWidth) int { return arch.LanesFor(arch.MaxVecBytes, w) }
+
+// NewVec returns a present all-zero vector of n lanes of width w.
 func NewVec(w arch.ElemWidth, n int) VecVal {
-	return VecVal{W: w, N: n, L: make([]uint64, n)}
+	return VecVal{W: w, N: n, present: true}
 }
 
-// VecFrom builds a vector from raw element bits.
+// VecFrom builds a vector from raw element bits, truncating each to w bytes.
+// It is absent when lanes is empty.
 func VecFrom(w arch.ElemWidth, lanes []uint64) VecVal {
-	return VecVal{W: w, N: len(lanes), L: append([]uint64(nil), lanes...)}
-}
-
-// Clone returns an independent copy.
-func (v VecVal) Clone() VecVal {
-	c := v
-	c.L = append([]uint64(nil), v.L...)
-	return c
+	v := VecVal{W: w, N: len(lanes), present: len(lanes) > 0}
+	for i, x := range lanes {
+		v.SetLane(i, x)
+	}
+	return v
 }
 
 // Lane returns lane i, or 0 when i is out of the valid range.
-func (v VecVal) Lane(i int) uint64 {
-	if i < 0 || i >= v.N || i >= len(v.L) {
+func (v *VecVal) Lane(i int) uint64 {
+	if i < 0 || i >= v.N {
 		return 0
 	}
-	return v.L[i]
+	if v.W == arch.W8 {
+		return v.d[i]
+	}
+	bits := uint(v.W) * 8
+	at := uint(i) * bits
+	return v.d[at/64] >> (at % 64) & (1<<bits - 1)
+}
+
+// SetLane stores x, truncated to the lane width, into lane i (i must be
+// below MaxLanes(W); N is unchanged).
+func (v *VecVal) SetLane(i int, x uint64) {
+	if v.W == arch.W8 {
+		v.d[i] = x
+		return
+	}
+	bits := uint(v.W) * 8
+	at := uint(i) * bits
+	mask := uint64(1)<<bits - 1
+	word := &v.d[at/64]
+	*word = *word&^(mask<<(at%64)) | (x&mask)<<(at%64)
+}
+
+// truncate drops the lanes from n on, zeroing their bits.
+func (v *VecVal) truncate(n int) {
+	for i := n; i < v.N; i++ {
+		v.SetLane(i, 0)
+	}
+	v.N = n
 }
 
 // F returns lane i interpreted as a float of the vector's width.
-func (v VecVal) F(i int) float64 { return bitsToFloat(v.W, v.Lane(i)) }
+func (v *VecVal) F(i int) float64 { return bitsToFloat(v.W, v.Lane(i)) }
 
 func (v VecVal) String() string {
 	var b strings.Builder

@@ -40,7 +40,8 @@ func (s LineState) Dirty() bool { return s == Modified || s == Owned }
 // Prefetcher reacts to demand accesses and proposes lines to prefetch.
 type Prefetcher interface {
 	// OnAccess observes a demand access and returns line addresses to
-	// prefetch into the observing cache.
+	// prefetch into the observing cache. The result is valid until the
+	// next call: prefetchers reuse its buffer.
 	OnAccess(now int64, line uint64, pc int, hit bool) []uint64
 }
 
@@ -104,8 +105,14 @@ type Cache struct {
 	numSets  uint64
 	mshrs    []*mshr // outstanding misses in allocation order (≤ cfg.MSHRs)
 	mshrFree []*mshr
-	wbQueue  []*Req
+	// Rejected writebacks and proposed prefetches wait in FIFOs that are
+	// windows into fixed backing arrays (see arch.Enqueue). wbReq is reused
+	// for each writeback's first attempt (Access keeps no pointer to it).
+	wbQueue  []Req
+	wbBuf    []Req
+	wbReq    Req
 	pfQueue  []uint64
+	pfBuf    []uint64
 	pending  []timedDone
 	accepted int
 	lastTick int64
@@ -129,6 +136,8 @@ func NewCache(cfg CacheConfig, lower Port) *Cache {
 		ways:    make([]wayEntry, numSets*cfg.Ways),
 		numSets: uint64(numSets),
 		mshrs:   make([]*mshr, 0, cfg.MSHRs),
+		wbBuf:   make([]Req, 2*cfg.MSHRs),
+		pfBuf:   make([]uint64, 2*cfg.PrefetchQueue),
 	}
 }
 
@@ -259,7 +268,7 @@ func (c *Cache) observe(now int64, line uint64, pc int, hit bool) {
 		if c.lookup(l) != nil || c.mshrFor(l) != nil {
 			continue
 		}
-		c.pfQueue = append(c.pfQueue, l)
+		c.pfQueue = arch.Enqueue(c.pfQueue, c.pfBuf, l)
 	}
 }
 
@@ -354,16 +363,21 @@ func (c *Cache) evict(now int64, e *wayEntry) {
 	c.Stats.Evictions++
 	if e.state.Dirty() {
 		c.Stats.Writebacks++
-		wb := &Req{Line: e.tag, Write: true}
-		if !c.lower.Access(now, wb) {
-			c.wbQueue = append(c.wbQueue, wb)
-		}
+		c.writeback(now, Req{Line: e.tag, Write: true})
 	}
 	if c.upper != nil {
 		c.upper.Invalidate(now, e.tag)
 	}
 	e.state = Invalid
 	e.prefetched = false
+}
+
+// writeback sends a dirty line below, queueing it for retry when rejected.
+func (c *Cache) writeback(now int64, wb Req) {
+	c.wbReq = wb
+	if !c.lower.Access(now, &c.wbReq) {
+		c.wbQueue = arch.Enqueue(c.wbQueue, c.wbBuf, wb)
+	}
 }
 
 // Invalidate removes the line (back-invalidation from the level below or a
@@ -377,10 +391,7 @@ func (c *Cache) Invalidate(now int64, line uint64) {
 	c.Stats.Invalidations++
 	if e.state.Dirty() {
 		c.Stats.Writebacks++
-		wb := &Req{Line: e.tag, Write: true, MinLevel: arch.LevelMem}
-		if !c.lower.Access(now, wb) {
-			c.wbQueue = append(c.wbQueue, wb)
-		}
+		c.writeback(now, Req{Line: e.tag, Write: true, MinLevel: arch.LevelMem})
 	}
 	if c.upper != nil {
 		c.upper.Invalidate(now, line)
@@ -428,7 +439,7 @@ func (c *Cache) Tick(now int64) {
 	}
 	for len(c.wbQueue) > 0 {
 		c.activity++
-		if !c.lower.Access(now, c.wbQueue[0]) {
+		if !c.lower.Access(now, &c.wbQueue[0]) {
 			break
 		}
 		c.wbQueue = c.wbQueue[1:]

@@ -172,10 +172,11 @@ func (m *Memory) WriteFloat(addr uint64, w arch.ElemWidth, f float64) {
 // pages fault. A small fully-associative buffer caches translations, and
 // misses cost a fixed page-walk penalty charged to the requesting access.
 type TLB struct {
-	mem     *Memory
-	entries map[uint64]bool // cached page numbers
-	order   []uint64        // FIFO replacement
-	size    int
+	mem      *Memory
+	entries  map[uint64]bool // cached page numbers
+	order    []uint64        // FIFO replacement; window into orderBuf (see arch.Enqueue)
+	orderBuf []uint64
+	size     int
 
 	WalkPenalty int // cycles added on a TLB miss
 
@@ -191,7 +192,7 @@ type TLB struct {
 
 // NewTLB builds a TLB of the given entry count over m's page table.
 func NewTLB(m *Memory, size int) *TLB {
-	return &TLB{mem: m, entries: make(map[uint64]bool), size: size, WalkPenalty: 20}
+	return &TLB{mem: m, entries: make(map[uint64]bool), orderBuf: make([]uint64, 2*size), size: size, WalkPenalty: 20}
 }
 
 // Translate resolves addr. It returns the extra latency in cycles (0 on a
@@ -219,14 +220,14 @@ func (t *TLB) Translate(addr uint64) (extraLat int, fault bool) {
 		delete(t.entries, oldest)
 	}
 	t.entries[page] = true
-	t.order = append(t.order, page)
+	t.order = arch.Enqueue(t.order, t.orderBuf, page)
 	return t.WalkPenalty, false
 }
 
 // Flush empties the TLB (context switches, new mappings).
 func (t *TLB) Flush() {
-	t.entries = make(map[uint64]bool)
-	t.order = nil
+	clear(t.entries)
+	t.order = t.order[:0]
 }
 
 func (t *TLB) String() string {

@@ -11,6 +11,7 @@ type StridePrefetcher struct {
 	Degree int // prefetches issued per triggering access
 
 	table map[int]*strideEntry
+	out   []uint64 // OnAccess's result, reused across calls
 }
 
 type strideEntry struct {
@@ -53,7 +54,7 @@ func (p *StridePrefetcher) OnAccess(now int64, line uint64, pc int, hit bool) []
 		return nil
 	}
 	// Ramp the prefetch distance up to Depth strides ahead.
-	out := make([]uint64, 0, p.Degree)
+	out := p.out[:0]
 	for i := 0; i < p.Degree; i++ {
 		if e.dist < int64(p.Depth) {
 			e.dist++
@@ -63,6 +64,7 @@ func (p *StridePrefetcher) OnAccess(now int64, line uint64, pc int, hit bool) []
 			out = append(out, uint64(target))
 		}
 	}
+	p.out = out
 	return out
 }
 
@@ -76,8 +78,10 @@ type AMPMPrefetcher struct {
 	MaxStride int
 	Degree    int
 	zones     map[uint64][]bool
-	zoneOrder []uint64
+	zoneOrder []uint64 // oldest first; window into zoneBuf (see arch.Enqueue)
+	zoneBuf   []uint64
 	maxZones  int
+	out       []uint64 // OnAccess's result, reused across calls
 }
 
 // NewAMPMPrefetcher builds an AMPM prefetcher with 4 KB zones.
@@ -87,6 +91,7 @@ func NewAMPMPrefetcher() *AMPMPrefetcher {
 		MaxStride: 16,
 		Degree:    2,
 		zones:     make(map[uint64][]bool),
+		zoneBuf:   make([]uint64, 2*64),
 		maxZones:  64,
 	}
 }
@@ -99,24 +104,28 @@ func (p *AMPMPrefetcher) OnAccess(now int64, line uint64, pc int, hit bool) []ui
 	zm, ok := p.zones[zone]
 	if !ok {
 		if len(p.zoneOrder) >= p.maxZones {
+			// The new zone takes over the evicted zone's bitmap.
 			oldest := p.zoneOrder[0]
 			p.zoneOrder = p.zoneOrder[1:]
+			zm = p.zones[oldest]
+			clear(zm)
 			delete(p.zones, oldest)
+		} else {
+			zm = make([]bool, p.ZoneLines)
 		}
-		zm = make([]bool, p.ZoneLines)
 		p.zones[zone] = zm
-		p.zoneOrder = append(p.zoneOrder, zone)
+		p.zoneOrder = arch.Enqueue(p.zoneOrder, p.zoneBuf, zone)
 	}
 	zm[idx] = true
 
-	var out []uint64
+	p.out = p.out[:0]
 	emit := func(k int) bool {
 		t := idx + k
 		if t < 0 || t >= p.ZoneLines || zm[t] {
 			return false
 		}
-		out = append(out, (zone*uint64(p.ZoneLines)+uint64(t))*arch.LineSize)
-		return len(out) >= p.Degree
+		p.out = append(p.out, (zone*uint64(p.ZoneLines)+uint64(t))*arch.LineSize)
+		return len(p.out) >= p.Degree
 	}
 	test := func(k int) bool {
 		a, b := idx-k, idx-2*k
@@ -124,11 +133,11 @@ func (p *AMPMPrefetcher) OnAccess(now int64, line uint64, pc int, hit bool) []ui
 	}
 	for k := 1; k <= p.MaxStride; k++ {
 		if test(k) && emit(k) {
-			return out
+			return p.out
 		}
 		if test(-k) && emit(-k) {
-			return out
+			return p.out
 		}
 	}
-	return out
+	return p.out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	uve "repro"
+	"repro/internal/isa"
 )
 
 // TestQuickstartSaxpy runs the paper's Fig 4 saxpy end to end through the
@@ -137,6 +138,59 @@ func TestIndirectGatherPublicAPI(t *testing.T) {
 		want := table.At(int(idx.At(i)))
 		if got := out.At(i); got != want {
 			t.Fatalf("out[%d] = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestPackedVectorEdgeCases pins the behaviour of vector values at the edges
+// of their inline 64-byte image, on both execution tiers: a lane keeps only
+// its width's bits (vdupx.w of a value above 2^32 broadcasts its low 32
+// bits), and a gather reads at most as many lanes as its destination width
+// holds (a .d gather indexed by 16 .w lanes reads 8).
+func TestPackedVectorEdgeCases(t *testing.T) {
+	t.Run("dupx-truncates", func(t *testing.T) {
+		b := uve.NewProgram("dupx")
+		b.I(uve.VDupX(uve.W4, uve.V(1), uve.X(2)))
+		b.I(isa.VLoadG(uve.W4, uve.V(2), uve.X(1), uve.V(1), uve.None))
+		b.I(uve.VStore(uve.W4, uve.X(3), uve.X(0), 0, uve.V(2), uve.None))
+		b.I(uve.Halt())
+		checkBothTiers(t, b.MustBuild(), func(m *uve.Machine) ([]uve.Arg, func(int) uint64) {
+			in, out := m.Float32s(64), m.Float32s(16)
+			in.Fill(func(i int) float64 { return float64(i + 1) })
+			args := []uve.Arg{uve.IntArg(1, in.Base), uve.IntArg(2, 1<<32+3), uve.IntArg(3, out.Base)}
+			return args, func(i int) uint64 { return uint64(out.At(i)) }
+		}, []uint64{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4})
+	})
+	t.Run("gather-clamps", func(t *testing.T) {
+		b := uve.NewProgram("gather")
+		b.I(uve.VDupX(uve.W4, uve.V(1), uve.X(2)))
+		b.I(isa.VLoadG(uve.W8, uve.V(2), uve.X(1), uve.V(1), uve.None))
+		b.I(uve.VStore(uve.W8, uve.X(3), uve.X(0), 0, uve.V(2), uve.None))
+		b.I(uve.Halt())
+		checkBothTiers(t, b.MustBuild(), func(m *uve.Machine) ([]uve.Arg, func(int) uint64) {
+			in, out := m.Uint64s(64), m.Uint64s(16)
+			in.Fill(func(i int) uint64 { return uint64(i + 1) })
+			args := []uve.Arg{uve.IntArg(1, in.Base), uve.IntArg(2, 2), uve.IntArg(3, out.Base)}
+			return args, out.At
+		}, []uint64{3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0})
+	})
+}
+
+// checkBothTiers runs p on the SVE machine at both fidelities. setup
+// allocates the run's data and returns its arguments and an output reader;
+// both tiers must produce want.
+func checkBothTiers(t *testing.T, p *uve.Program, setup func(m *uve.Machine) ([]uve.Arg, func(int) uint64), want []uint64) {
+	t.Helper()
+	for _, f := range []uve.Fidelity{uve.Cycle, uve.Functional} {
+		m := uve.NewMachine(uve.SVEConfig(), uve.WithFidelity(f))
+		args, out := setup(m)
+		if _, err := m.Run(p, args...); err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		for i, w := range want {
+			if got := out(i); got != w {
+				t.Fatalf("%v: out[%d] = %d, want %d", f, i, got, w)
+			}
 		}
 	}
 }
