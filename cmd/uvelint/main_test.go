@@ -1,10 +1,11 @@
 package main
 
-// Golden-file pin of the -json report: the field names and shapes are a
-// stable machine-readable surface (scripts/check.sh pipes them through
-// jsonvalid; downstream tooling parses them). Regenerate the golden file
-// with `go test ./cmd/uvelint -run TestJSONGolden -update` after an
-// intentional schema or model change.
+// Golden-file pins of uvelint's output. The -json report's field names and
+// shapes are a stable machine-readable surface (scripts/check.sh pipes them
+// through jsonvalid; downstream tooling parses them), and the -all -deps
+// text pins every diagnostic, dependence verdict and certificate of every
+// kernel program. Regenerate with `go test ./cmd/uvelint -update` after an
+// intentional schema or analysis change.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cliflags"
 	"repro/internal/kernels"
 	"repro/internal/report"
 )
@@ -38,14 +40,19 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := *bytes.NewBuffer(out)
+	checkGolden(t, "saxpy_uve_cost.json", out)
+}
 
-	golden := filepath.Join("testdata", "saxpy_uve_cost.json")
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,10 +60,30 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to regenerate): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("-json output drifted from %s\n-- got --\n%s\n-- want --\n%s\n(regenerate with -update after an intentional change)",
-			golden, buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from %s\n-- got --\n%s\n-- want --\n%s\n(regenerate with -update after an intentional change)",
+			golden, got, want)
 	}
+}
+
+// TestAllKernelsGolden pins the text of `uvelint -all -deps`: every kernel
+// in every variant at its default size.
+func TestAllKernelsGolden(t *testing.T) {
+	variants, err := cliflags.Variants("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, k := range kernels.All {
+		for _, v := range variants {
+			rep, inst, err := buildReport(k, v, k.DefaultSize, false)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.ID, v, err)
+			}
+			writeText(&buf, programName(k, v, k.DefaultSize), rep, inst, true)
+		}
+	}
+	checkGolden(t, "all_deps.txt", buf.Bytes())
 }
 
 // TestJSONReportShape guards the invariants the golden file alone cannot:
