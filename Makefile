@@ -137,10 +137,10 @@ model-smoke:
 	$(GO) run ./cmd/uvelint -all -cost -json | $(GO) run ./scripts/jsonvalid
 
 # Prove smoke: the abstract-interpretation prover must be deterministic
-# (two -prove sweeps render byte-identically, certificates included) and
-# effective (HACCmk's scalar-store pairs certify collision-free only with
-# the prover on; a certified kernel elides the sanitizer under
-# -sanitize=auto). The certified-elision wall clock is recorded by the
+# (two -deps sweeps render byte-identically, certificates included) and
+# effective (the prover bounds HACCmk's scalar-store addresses, which
+# certifies it collision-free; a certified kernel elides the sanitizer
+# under -sanitize=auto). The certified-elision wall clock is recorded by the
 # sanitize-on/sanitize-auto BenchmarkSimWall cells that perf-smoke gates
 # against BENCH_simwall.json.
 prove-smoke:
@@ -149,7 +149,7 @@ prove-smoke:
 	$(GO) run ./cmd/uvelint -all -deps > "$$dir/prove2.txt" && \
 	cmp "$$dir/prove1.txt" "$$dir/prove2.txt" && \
 	grep -q "proven outside the stream footprint by value-range analysis" "$$dir/prove1.txt" && \
-	$(GO) run ./cmd/uvelint -kernel L -variant uve -deps -prove=false | grep -q "collision-free=false" && \
+	$(GO) run ./cmd/uvelint -kernel L -variant uve -deps | grep -q "collision-free=true" && \
 	$(GO) run ./cmd/uvesim -kernel L -size 256 -fidelity functional -sanitize=auto | grep -q "sanitizer:         elided"
 
 # Serve smoke: the uveserve daemon end to end over curl — two concurrent

@@ -238,7 +238,7 @@ func printContext(w io.Writer, u *wire.Unit) {
 // lintOptions reconstitutes verification options from a blob's embedded
 // context, making the blob self-contained for static verification.
 func lintOptions(u *wire.Unit) *lint.Options {
-	opts := &lint.Options{EntryIntVals: map[int]uint64{}, Prove: true}
+	opts := &lint.Options{EntryIntVals: map[int]uint64{}}
 	for _, a := range u.IntArgs {
 		opts.EntryInt = append(opts.EntryInt, a.Reg)
 		opts.EntryIntVals[a.Reg] = a.Val

@@ -61,7 +61,7 @@ import (
 var defaultDirs = []string{
 	"internal/sim", "internal/cpu", "internal/engine",
 	"internal/mem", "internal/bench", "internal/funcsim",
-	"internal/lint", "internal/cost", "internal/absint",
+	"internal/lint", "internal/cost", "internal/absint", "internal/cfg",
 	"internal/program", "internal/descriptor", "internal/trace",
 	"internal/kernels", "internal/wire", "internal/report",
 	"internal/store",

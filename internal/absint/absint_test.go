@@ -1,6 +1,7 @@
 package absint
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -87,6 +88,39 @@ func TestEvalOpSoundness(t *testing.T) {
 			t.Fatalf("%s: a=%v(%d) b=%v(%d) imm=%d: concrete %d outside %v",
 				op.Name(), a, av, b, bv, imm, got, iv)
 		}
+	}
+}
+
+// TestEvalOpPointsExact checks that single values evaluate as isa.EvalInt
+// does for every integer ALU op, so the dependence analyzer resolves every
+// store address a constant lattice would: wrapping products and shifts,
+// zero and negative divisors, and signed comparisons of negative values
+// included.
+func TestEvalOpPointsExact(t *testing.T) {
+	vals := []uint64{0, 1, 2, 7, 1<<32 + 3, 1 << 62, 1<<63 - 1, 1 << 63, ^uint64(0) - 6, ^uint64(0)}
+	imms := []int64{0, 1, -1, 3, 62, 63, 64, -64, math.MaxInt64, math.MinInt64}
+	ops := 0
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		switch {
+		case op.Kind() != isa.KindIntALU:
+			continue
+		case op == isa.OpIncVL || op == isa.OpGetVL || op == isa.OpSSetVL:
+			continue // lane counts, not EvalInt's
+		}
+		ops++
+		for _, a := range vals {
+			for _, b := range vals {
+				for _, imm := range imms {
+					want := Point(isa.EvalInt(op, a, b, imm))
+					if got := EvalOp(op, Point(a), Point(b), imm); got != want {
+						t.Fatalf("%s(%#x, %#x, imm %d) = %v, want %v", op.Name(), a, b, imm, got, want)
+					}
+				}
+			}
+		}
+	}
+	if ops != 16 {
+		t.Fatalf("checked %d integer ALU ops, want 16", ops)
 	}
 }
 

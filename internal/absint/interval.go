@@ -129,8 +129,19 @@ func shl(a Interval, k uint) Interval {
 }
 
 // EvalOp abstracts isa.EvalInt over intervals: for all a0 in a and b0 in b,
-// EvalInt(op, a0, b0, imm) is contained in EvalOp(op, a, b, imm).
+// EvalInt(op, a0, b0, imm) is contained in EvalOp(op, a, b, imm). Single
+// values evaluate exactly, wrapping, dividing by zero and comparing signed
+// as EvalInt does.
 func EvalOp(op isa.Op, a, b Interval, imm int64) Interval {
+	switch op {
+	case isa.OpIncVL, isa.OpGetVL, isa.OpSSetVL:
+		return Top() // lane counts are machine state, not operands
+	case isa.OpLi, isa.OpMv, isa.OpAddI, isa.OpSllI, isa.OpSrlI, isa.OpAndI, isa.OpSltI:
+		b = Point(0) // the immediate forms read no second operand
+	}
+	if op.Kind() == isa.KindIntALU && a.IsPoint() && b.IsPoint() {
+		return Point(isa.EvalInt(op, a.Lo, b.Lo, imm))
+	}
 	switch op {
 	case isa.OpNop, isa.OpHalt:
 		return Point(0)
@@ -166,9 +177,6 @@ func EvalOp(op isa.Op, a, b Interval, imm int64) Interval {
 		k := uint(imm & 63)
 		return Interval{a.Lo >> k, a.Hi >> k}
 	case isa.OpAndI:
-		if a.IsPoint() {
-			return Point(a.Lo & uint64(imm))
-		}
 		if imm >= 0 {
 			hi := uint64(imm)
 			if a.Hi < hi {
@@ -178,21 +186,12 @@ func EvalOp(op isa.Op, a, b Interval, imm int64) Interval {
 		}
 		return Top()
 	case isa.OpAnd:
-		if a.IsPoint() && b.IsPoint() {
-			return Point(a.Lo & b.Lo)
-		}
 		hi := a.Hi
 		if b.Hi < hi {
 			hi = b.Hi
 		}
 		return Interval{0, hi}
 	case isa.OpOr, isa.OpXor:
-		if a.IsPoint() && b.IsPoint() {
-			if op == isa.OpOr {
-				return Point(a.Lo | b.Lo)
-			}
-			return Point(a.Lo ^ b.Lo)
-		}
 		// Both operands fit below the next power of two, so does the result.
 		n := bits.Len64(a.Hi | b.Hi)
 		if n >= 64 {

@@ -270,13 +270,11 @@ func finalize(h *mem.Hierarchy, inst *Instance) *Instance {
 // verifyOptions derives the static verifier's options for a program
 // entered with the given argument registers and run against m: the
 // argument registers are the entry-defined set (integer values seed the
-// constant and value-range analyses) and m's allocations are the legal
-// buffer extents.
+// value-range analysis) and m's allocations are the legal buffer extents.
 func verifyOptions(m *mem.Memory, intArgs map[int]uint64, fpArgs map[int]FPArg) *lint.Options {
 	opts := &lint.Options{
 		EntryIntVals:      intArgs,
 		MaxFootprintElems: MaxFootprintElems,
-		Prove:             ProveDeps,
 	}
 	for r := range intArgs {
 		opts.EntryInt = append(opts.EntryInt, r)
@@ -299,12 +297,6 @@ func verifyOptions(m *mem.Memory, intArgs map[int]uint64, fpArgs map[int]FPArg) 
 // every kernel build (0 uses lint.DefaultMaxFootprintElems). cmd/uvelint's
 // -max-footprint flag sets it.
 var MaxFootprintElems int64
-
-// ProveDeps enables the abstract-interpretation prover on every kernel
-// build, so register-addressed scalar stores get value-range bounds and the
-// dependence pass can upgrade unknown verdicts. cmd/uvelint's -prove flag
-// (and tests that want the pre-prover behaviour) toggle it.
-var ProveDeps = true
 
 // lanesFor returns the vector lane count of a variant for width w.
 func lanesFor(v Variant, w arch.ElemWidth) int { return arch.LanesFor(v.VecBytes(), w) }

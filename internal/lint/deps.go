@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/arch"
+	"repro/internal/cfg"
 	"repro/internal/descriptor"
 	"repro/internal/isa"
 )
@@ -124,38 +124,39 @@ func (c *checker) checkDeps() {
 	fps := make([]*descriptor.Footprint, len(c.sites))
 	fp := func(i int) *descriptor.Footprint {
 		if fps[i] == nil {
-			if c.sites[i].desc == nil {
+			if c.sites[i].Desc == nil {
 				fps[i] = &descriptor.Footprint{Top: true, Reason: "configuration did not reassemble"}
 			} else {
-				fps[i] = descriptor.NewFootprint(c.sites[i].desc, maxElems)
+				fps[i] = descriptor.NewFootprint(c.sites[i].Desc, maxElems)
 			}
 		}
 		return fps[i]
 	}
 	seen := map[[2]int]bool{}
 	for pc := range c.insts {
-		if !c.reach[pc] {
+		if !c.g.Reach[pc] {
 			continue
 		}
 		in := &c.insts[pc]
 		s := &c.in[pc]
 		switch {
 		case in.Op == isa.OpSCfg && in.Cfg != nil && in.Cfg.End:
-			site := c.siteAt[pc]
-			if site == nil {
+			ni, ok := c.siteAt[pc]
+			if !ok {
 				continue
 			}
+			site := &c.sites[ni]
 			for v := 0; v < isa.NumVecRegs; v++ {
-				if v == site.stream || s.stream[v]&(stActive|stSuspended) == 0 {
+				if v == site.Stream || s.stream[v]&(stActive|stSuspended) == 0 {
 					continue
 				}
 				si := s.site[v]
 				if si == siteConflict {
-					key := [2]int{^v, site.idx}
+					key := [2]int{^v, ni}
 					if !seen[key] {
 						seen[key] = true
 						c.depRecord(pc, DepPair{
-							First: v, Second: site.stream, FirstPC: -1, SecondPC: pc,
+							First: v, Second: site.Stream, FirstPC: -1, SecondPC: pc,
 							Kind: "ambiguous", Verdict: DepUnknown,
 							Detail: fmt.Sprintf("different configurations of u%d may be live here", v),
 						})
@@ -165,12 +166,12 @@ func (c *checker) checkDeps() {
 				if si < 0 || int(si) >= len(c.sites) {
 					continue
 				}
-				key := [2]int{int(si), site.idx}
+				key := [2]int{int(si), ni}
 				if seen[key] {
 					continue
 				}
 				seen[key] = true
-				c.classifyStreamPair(s, c.sites[si], site, fp(int(si)), fp(site.idx))
+				c.classifyStreamPair(s, &c.sites[si], site, fp(int(si)), fp(ni))
 			}
 		case in.Op.IsStore():
 			c.checkScalarStore(pc, s, in, fp)
@@ -204,10 +205,10 @@ func certainlyLive(s *state, u int) bool {
 
 // classifyStreamPair classifies (old, new): old's configuration precedes
 // new's on every path where both are live.
-func (c *checker) classifyStreamPair(s *state, old, new *cfgSite, fo, fn *descriptor.Footprint) {
-	oldStore := old.desc != nil && old.desc.Kind == descriptor.Store
-	newStore := new.desc != nil && new.desc.Kind == descriptor.Store
-	if old.desc != nil && new.desc != nil && !oldStore && !newStore {
+func (c *checker) classifyStreamPair(s *state, old, new *cfg.Site, fo, fn *descriptor.Footprint) {
+	oldStore := old.Desc != nil && old.Desc.Kind == descriptor.Store
+	newStore := new.Desc != nil && new.Desc.Kind == descriptor.Store
+	if old.Desc != nil && new.Desc != nil && !oldStore && !newStore {
 		return // read/read pairs are benign
 	}
 	kind := "WAR"
@@ -217,7 +218,7 @@ func (c *checker) classifyStreamPair(s *state, old, new *cfgSite, fo, fn *descri
 	case oldStore:
 		kind = "RAW"
 	}
-	p := DepPair{First: old.stream, Second: new.stream, FirstPC: old.endPC, SecondPC: new.endPC, Kind: kind}
+	p := DepPair{First: old.Stream, Second: new.Stream, FirstPC: old.EndPC, SecondPC: new.EndPC, Kind: kind}
 	switch descriptor.Relate(fo, fn, depRelateBudget) {
 	case descriptor.OverlapDisjoint:
 		p.Verdict = DepDisjoint
@@ -225,43 +226,43 @@ func (c *checker) classifyStreamPair(s *state, old, new *cfgSite, fo, fn *descri
 	case descriptor.OverlapUnknown:
 		p.Verdict = DepUnknown
 		p.Detail = fmt.Sprintf("cannot prove streams u%d and u%d disjoint: %s",
-			old.stream, new.stream, depImprecision(fo, fn))
+			old.Stream, new.Stream, depImprecision(fo, fn))
 	case descriptor.OverlapYes:
 		switch kind {
 		case "RAW":
 			p.Verdict = DepOrdered
 			p.Detail = "engine defers the load configuration until prior store streams drain"
 		case "WAW":
-			if !c.streamUsed(new.endPC, old.stream) {
+			if !c.streamUsed(new.EndPC, old.Stream) {
 				p.Verdict = DepOrdered
-				p.Detail = fmt.Sprintf("u%d has no producer after this configuration; in-order commit retires its writes first", old.stream)
-			} else if addr, ok := commonAddr(fo, fn); ok && certainlyLive(s, old.stream) {
+				p.Detail = fmt.Sprintf("u%d has no producer after this configuration; in-order commit retires its writes first", old.Stream)
+			} else if addr, ok := commonAddr(fo, fn); ok && certainlyLive(s, old.Stream) {
 				p.Verdict = DepHazard
 				p.Detail = fmt.Sprintf("store streams u%d and u%d both write %#x with no ordering guarantee (WAW)",
-					old.stream, new.stream, addr)
+					old.Stream, new.Stream, addr)
 			} else {
 				p.Verdict = DepUnknown
 				p.Detail = fmt.Sprintf("store streams u%d and u%d overlap if u%d is still live here (WAW)",
-					old.stream, new.stream, old.stream)
+					old.Stream, new.Stream, old.Stream)
 			}
 		case "WAR":
 			p.Verdict, p.Detail = c.classifyWAR(s, old, new, fo, fn)
 		}
 	}
-	c.depRecord(new.endPC, p)
+	c.depRecord(new.EndPC, p)
 }
 
 // classifyWAR decides a proven-overlap write-after-read pair: load stream
 // old is live when store stream new configures.
-func (c *checker) classifyWAR(s *state, old, new *cfgSite, fo, fn *descriptor.Footprint) (DepVerdict, string) {
+func (c *checker) classifyWAR(s *state, old, new *cfg.Site, fo, fn *descriptor.Footprint) (DepVerdict, string) {
 	if fo.SameSequence(fn) {
 		return DepOrdered, "identical sequences consumed in lockstep (read-then-write renaming)"
 	}
 	// Retired-access rule: no reachable consumer of the load after the
 	// store's configuration means every delivered element was committed
 	// before the store's first write (cross-phase sweeps).
-	if !c.streamUsed(new.endPC, old.stream) {
-		return DepOrdered, fmt.Sprintf("u%d has no consumer after this configuration; in-order commit retires its delivered reads first", old.stream)
+	if !c.streamUsed(new.EndPC, old.Stream) {
+		return DepOrdered, fmt.Sprintf("u%d has no consumer after this configuration; in-order commit retires its delivered reads first", old.Stream)
 	}
 	// Positional rule: for every address the store writes, the load's first
 	// read position must not exceed the store's first write position.
@@ -289,34 +290,35 @@ func (c *checker) classifyWAR(s *state, old, new *cfgSite, fo, fn *descriptor.Fo
 	switch {
 	case !complete || budget < 0:
 		return DepUnknown, fmt.Sprintf("cannot order overlapping streams u%d and u%d: %s",
-			old.stream, new.stream, "positional check exceeded its budget")
+			old.Stream, new.Stream, "positional check exceeded its budget")
 	case bad == nil:
 		return DepOrdered, "every overlapping address is read before it is written (read-leads-write)"
-	case certainlyLive(s, old.stream):
+	case certainlyLive(s, old.Stream):
 		return DepHazard, fmt.Sprintf(
 			"load u%d first reads %#x at element %d, after store u%d writes it at element %d — the prefetch may return the stale pre-store value (WAR)",
-			old.stream, uint64(bad.addr), bad.rd, new.stream, bad.wr)
+			old.Stream, uint64(bad.addr), bad.rd, new.Stream, bad.wr)
 	default:
 		return DepUnknown, fmt.Sprintf(
 			"store u%d overwrites %#x before load u%d would read it (element %d vs %d) if u%d is still live here (WAR)",
-			new.stream, uint64(bad.addr), old.stream, bad.wr, bad.rd, old.stream)
+			new.Stream, uint64(bad.addr), old.Stream, bad.wr, bad.rd, old.Stream)
 	}
 }
 
 // checkScalarStore classifies a scalar/vector store instruction against
 // every live stream. Scalar loads need no check (the LSQ holds them against
 // conflicting store-stream chunks); scalar stores can corrupt a load
-// stream's already-prefetched data or race a store stream's commits.
+// stream's already-prefetched data or race a store stream's commits. A
+// store the value analysis proves unreachable never executes and gets no
+// pairs.
 func (c *checker) checkScalarStore(pc int, s *state, in *isa.Inst, fp func(int) *descriptor.Footprint) {
-	lo, hi, resolved := scalarStoreRange(s, in)
-	proved := false
-	if !resolved && c.opts.Prove {
-		// The constant lattice could not pin the address; ask the abstract
-		// interpreter for a value-range bound. An interval range can prove
-		// disjointness but never an overlap (the true address is one point
-		// somewhere in it), so `exact` stays false on this path.
-		lo, hi, proved = c.intervalStoreRange(pc, in)
+	live := false
+	for v := range s.stream {
+		live = live || s.stream[v]&(stActive|stSuspended) != 0
 	}
+	if !live || !c.valueRanges().Reachable(pc) {
+		return
+	}
+	lo, hi, resolved, proved := c.storeRange(pc, in)
 	exact := resolved && (in.Op == isa.OpStore || in.Op == isa.OpFStore)
 	var unprovable []string
 	for v := 0; v < isa.NumVecRegs; v++ {
@@ -330,13 +332,13 @@ func (c *checker) checkScalarStore(pc int, s *state, in *isa.Inst, fp func(int) 
 			}
 			continue
 		}
-		site := c.sites[si]
-		isLoad := site.desc == nil || site.desc.Kind == descriptor.Load
+		site := &c.sites[si]
+		isLoad := site.Desc == nil || site.Desc.Kind == descriptor.Load
 		kind := "WAR(scalar)"
 		if !isLoad {
 			kind = "WAW(scalar)"
 		}
-		p := DepPair{First: v, Second: -1, FirstPC: site.endPC, SecondPC: pc, Kind: kind}
+		p := DepPair{First: v, Second: -1, FirstPC: site.EndPC, SecondPC: pc, Kind: kind}
 		rel := descriptor.OverlapUnknown
 		if resolved || proved {
 			rel = fp(int(si)).RelateRange(lo, hi)
@@ -390,30 +392,6 @@ func (c *checker) checkScalarStore(pc int, s *state, in *isa.Inst, fp func(int) 
 		c.warnf(pc, "scalar store while streams %s may be live: %s, so disjointness is unprovable",
 			strings.Join(unprovable, ", "), what)
 	}
-}
-
-// scalarStoreRange resolves the byte range a store instruction writes, using
-// the constant-propagation lattice. Vector stores use the architected
-// maximum extent (their effective length is runtime state), so they can be
-// proven disjoint but never exactly overlapping.
-func scalarStoreRange(s *state, in *isa.Inst) (lo, hi int64, ok bool) {
-	base, known := constInt(s, in.Src1)
-	if !known {
-		return 0, 0, false
-	}
-	switch in.Op {
-	case isa.OpStore, isa.OpFStore:
-		lo = int64(base) + in.Imm
-		return lo, lo + int64(in.W), true
-	case isa.OpVStore:
-		idx, known := constInt(s, in.Src2)
-		if !known {
-			return 0, 0, false
-		}
-		lo = int64(base) + (int64(idx)+in.Imm)*int64(in.W)
-		return lo, lo + int64(arch.MaxVecBytes), true
-	}
-	return 0, 0, false // vstoreg and friends: per-lane addresses are data
 }
 
 // depImprecision names the source of an unknown stream/stream verdict: the

@@ -78,8 +78,8 @@ type Options struct {
 	EntryInt []int
 	EntryFP  []int
 	// EntryIntVals optionally supplies the known entry values of EntryInt
-	// registers; they seed the constant propagation that resolves scalar
-	// memory addresses for the dependence analyzer.
+	// registers; they seed the value-range analysis (internal/absint) that
+	// bounds store addresses for the dependence analyzer.
 	EntryIntVals map[int]uint64
 	// Extents are the program's declared buffers. Empty disables the
 	// descriptor footprint check.
@@ -87,14 +87,10 @@ type Options struct {
 	// MaxFootprintElems caps per-stream address enumeration (0 = default).
 	// Streams longer than the cap are checked up to it.
 	MaxFootprintElems int64
-	// Prove enables the abstract-interpretation prover (internal/absint):
-	// scalar-store addresses the constant lattice cannot resolve are bounded
-	// by value-range analysis, upgrading unknown dependence verdicts to
-	// proved classes when the bounded range clears every live footprint.
-	Prove bool
 	// VecBytes is the physical vector width the program will run with, when
-	// known. It tightens the prover's lane-dependent bounds; zero assumes
-	// the architected maximum (sound: effective widths only shrink).
+	// known. It tightens the value-range analysis's lane-dependent bounds;
+	// zero assumes the architected maximum (sound: effective widths only
+	// shrink).
 	VecBytes int
 }
 
@@ -117,7 +113,7 @@ func Analyze(p *program.Program, opts *Options) ([]Diagnostic, []DepPair) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	c := newChecker(p, opts)
+	c := &checker{p: p, opts: opts, insts: p.Insts}
 	c.run()
 	sort.SliceStable(c.diags, func(i, j int) bool { return c.diags[i].PC < c.diags[j].PC })
 	return c.diags, c.deps

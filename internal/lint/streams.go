@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/descriptor"
@@ -15,65 +16,53 @@ import (
 // stream ended without ever consuming it does no work.
 func (c *checker) checkStreamUses() {
 	for _, site := range c.sites {
-		if !c.reach[site.endPC] {
+		if !c.g.Reach[site.EndPC] {
 			continue
 		}
-		used, clobbered := c.streamUse(site.endPC, site.stream)
+		used, clobbered := c.streamUse(site.EndPC, site.Stream)
 		if used {
 			continue
 		}
 		if clobbered {
-			c.errorf(site.endPC, "u%d reconfigured before its previous configuration was ever used", site.stream)
+			c.errorf(site.EndPC, "u%d reconfigured before its previous configuration was ever used", site.Stream)
 		} else {
-			c.errorf(site.endPC, "u%d is configured but never used", site.stream)
+			c.errorf(site.EndPC, "u%d is configured but never used", site.Stream)
 		}
 	}
 }
 
-// streamUse walks every reachable path from pc's successors for a use of
-// stream u's current configuration — a core read or write of the vector
-// register, an ss.force, or an indirect-origin consumer — before it is
-// clobbered by a reconfiguration or ss.stop. It reports whether a use was
-// found and, if not, whether any path reached a clobber (vs simply running
-// off the program). When used is false, every observable effect of u
-// precedes pc in commit order (see the retired-access rule in the package
-// comment).
+// streamUse searches every path from pc's successors for a use of stream
+// u's current configuration — a core read or write of the vector register,
+// an ss.force, or an indirect-origin consumer — before a reconfiguration or
+// ss.stop clobbers it. It reports whether a use was found and, if not,
+// whether any path reached a clobber (vs simply running off the program).
+// When used is false, every observable effect of u precedes pc in commit
+// order (see the retired-access rule in the package comment).
 func (c *checker) streamUse(pc, u int) (used, clobbered bool) {
-	seen := make([]bool, len(c.insts))
-	stack := append([]int(nil), c.succs[pc]...)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
+	uses := func(p int) bool {
 		in := &c.insts[p]
 		if d := in.DataDst(); d.Class == isa.ClassVec && int(d.N) == u {
-			return true, clobbered
+			return true
 		}
 		var srcs [4]isa.Reg
 		for _, r := range in.DataSrcs(srcs[:0]) {
 			if r.Class == isa.ClassVec && int(r.N) == u {
-				return true, clobbered
+				return true
 			}
 		}
-		if in.Op == isa.OpSForce && int(in.Dst.N) == u {
-			return true, clobbered
-		}
-		for _, endPC := range c.originUse[u] {
-			if p == endPC {
-				return true, clobbered
-			}
-		}
-		if in.Op == isa.OpSCfg && in.Cfg != nil && in.Cfg.Stream == u && in.Cfg.Start ||
-			in.Op == isa.OpSStop && int(in.Dst.N) == u {
-			clobbered = true // later uses consume a new configuration
-			continue
-		}
-		stack = append(stack, c.succs[p]...)
+		return in.Op == isa.OpSForce && int(in.Dst.N) == u || slices.Contains(c.originUse[u], p)
 	}
-	return false, clobbered
+	clobbers := func(p int) bool {
+		in := &c.insts[p]
+		return in.Op == isa.OpSCfg && in.Cfg != nil && in.Cfg.Stream == u && in.Cfg.Start ||
+			in.Op == isa.OpSStop && int(in.Dst.N) == u
+	}
+	// Later uses past a clobber consume a new configuration.
+	along := func(from, _ int) bool { return from == pc || !clobbers(from) }
+	if c.g.Reaches(pc, along, uses) {
+		return true, false
+	}
+	return false, c.g.Reaches(pc, along, clobbers)
 }
 
 // streamUsed is streamUse's verdict alone, for the dependence rules.
@@ -107,19 +96,19 @@ func (c *checker) checkFootprints() {
 		cap = DefaultMaxFootprintElems
 	}
 	for _, site := range c.sites {
-		if site.desc == nil || site.desc.HasIndirect() || !c.reach[site.endPC] {
+		if site.Desc == nil || site.Desc.HasIndirect() || !c.g.Reach[site.EndPC] {
 			continue
 		}
-		it := descriptor.NewIterator(site.desc, nil)
-		w := int64(site.desc.Width)
+		it := descriptor.NewIterator(site.Desc, nil)
+		w := int64(site.Desc.Width)
 		for n := int64(0); n < cap; n++ {
 			e, ok := it.Next()
 			if !ok {
 				break
 			}
 			if !contains(e.Addr, w) {
-				c.errorf(site.endPC, "stream u%d accesses 0x%x (element %d), outside any allocated buffer",
-					site.stream, e.Addr, n)
+				c.errorf(site.EndPC, "stream u%d accesses 0x%x (element %d), outside any allocated buffer",
+					site.Stream, e.Addr, n)
 				break
 			}
 			if e.Last {

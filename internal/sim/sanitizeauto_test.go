@@ -83,23 +83,13 @@ func TestSanitizeAutoDifferential(t *testing.T) {
 	}
 }
 
-// TestSanitizeAutoUncertified checks the fallback: when the prover is off
-// and a kernel's pairs stay unknown, SanitizeAuto must keep shadow tracking
-// on (no elision without a certificate).
+// TestSanitizeAutoUncertified checks the fallback: when a kernel's pairs
+// stay unknown, SanitizeAuto must keep shadow tracking on (no elision
+// without a certificate).
 func TestSanitizeAutoUncertified(t *testing.T) {
-	defer func(old bool) { kernels.ProveDeps = old }(kernels.ProveDeps)
-	kernels.ProveDeps = false
-
-	k := kernels.ByID("L") // HACCmk: scalar epilogue stores stay unknown unproven
-	if k == nil || k.Name != "HACCmk" {
-		for _, cand := range kernels.All {
-			if cand.Name == "HACCmk" {
-				k = cand
-			}
-		}
-	}
-	if k == nil {
-		t.Fatal("HACCmk kernel not registered")
+	k := kernels.ByID("M") // KNN: its indirect stream keeps one pair unknown
+	if k == nil || k.Name != "KNN" {
+		t.Fatal("kernel M is not KNN")
 	}
 	opts := autoOpts()
 	var inst *kernels.Instance
@@ -111,7 +101,7 @@ func TestSanitizeAutoUncertified(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cert := lint.Certify(inst.Diags, inst.Deps); cert.CollisionFree {
-		t.Fatalf("HACCmk certified with the prover off (%+v); the fallback test needs an uncertified program", cert)
+		t.Fatalf("KNN certified (%+v); the fallback test needs an uncertified program", cert)
 	}
 	if res.SanitizerElided {
 		t.Fatal("uncertified program elided the sanitizer")

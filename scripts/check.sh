@@ -76,17 +76,18 @@ diff -r "$tracedir/wire-a" "$tracedir/wire-b"
 # lint+cost report must be valid JSON end to end.
 go run ./cmd/uvebench -exp model -scale 256 > /dev/null
 go run ./cmd/uvelint -all -cost -json | go run ./scripts/jsonvalid
-# Prove smoke: the value-range prover is deterministic — two -prove sweeps
+# Prove smoke: the value-range prover is deterministic — two -deps sweeps
 # must render byte-identically, certificates included — and actually
-# proves: the HACCmk scalar-store pairs read disjoint only with the prover
-# on, and a certified kernel elides the sanitizer under -sanitize=auto.
+# proves: it bounds the HACCmk scalar-store addresses, which certifies the
+# kernel collision-free, and a certified kernel elides the sanitizer under
+# -sanitize=auto.
 # The certified-elision wall clock rides the sanitize-on/sanitize-auto
 # BenchmarkSimWall cells, gated below against BENCH_simwall.json.
 go run ./cmd/uvelint -all -deps > "$tracedir/prove1.txt"
 go run ./cmd/uvelint -all -deps > "$tracedir/prove2.txt"
 cmp "$tracedir/prove1.txt" "$tracedir/prove2.txt"
 grep -q "proven outside the stream footprint by value-range analysis" "$tracedir/prove1.txt"
-go run ./cmd/uvelint -kernel L -variant uve -deps -prove=false | grep -q "collision-free=false"
+go run ./cmd/uvelint -kernel L -variant uve -deps | grep -q "collision-free=true"
 go run ./cmd/uvesim -kernel L -size 256 -fidelity functional -sanitize=auto | grep -q "sanitizer:         elided"
 # Fault smoke: seeded injection is deterministic — the same seed must give
 # byte-identical output for a single faulted run and for the full campaign
