@@ -5,62 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/funcsim"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
 )
-
-// refInterp executes a program sequentially with plain functional
-// semantics — the oracle for differential testing of the out-of-order core.
-type refInterp struct {
-	x   [isa.NumIntRegs]uint64
-	f   [isa.NumFPRegs]uint64
-	m   *mem.Memory
-	p   *program.Program
-	pc  int
-	ran int
-}
-
-func (r *refInterp) run(maxSteps int) bool {
-	for r.ran = 0; r.ran < maxSteps; r.ran++ {
-		in := r.p.At(r.pc)
-		next := r.pc + 1
-		op := in.Op
-		switch {
-		case op == isa.OpHalt:
-			return true
-		case op == isa.OpNop:
-		case op.Kind() == isa.KindIntALU:
-			v := isa.EvalInt(op, r.x[in.Src1.N], r.x[in.Src2.N], in.Imm)
-			if in.Dst.N != 0 {
-				r.x[in.Dst.N] = v
-			}
-		case op.Kind() == isa.KindFPALU:
-			a, b, c := r.f[in.Src1.N], r.f[in.Src2.N], r.f[in.Src3.N]
-			r.f[in.Dst.N] = isa.EvalFP(op, in.W, a, b, c, in.Imm)
-		case op == isa.OpLoad:
-			if in.Dst.N != 0 {
-				r.x[in.Dst.N] = r.m.Read(r.x[in.Src1.N]+uint64(in.Imm), in.W)
-			}
-		case op == isa.OpFLoad:
-			r.f[in.Dst.N] = r.m.Read(r.x[in.Src1.N]+uint64(in.Imm), in.W)
-		case op == isa.OpStore:
-			r.m.Write(r.x[in.Src1.N]+uint64(in.Imm), in.W, r.x[in.Src3.N])
-		case op == isa.OpFStore:
-			r.m.Write(r.x[in.Src1.N]+uint64(in.Imm), in.W, r.f[in.Src3.N])
-		case op == isa.OpJ:
-			next = in.Target
-		case op.IsBranch():
-			if isa.EvalCondBranch(op, r.x[in.Src1.N], r.x[in.Src2.N]) {
-				next = in.Target
-			}
-		default:
-			panic("refInterp: unsupported op " + op.Name())
-		}
-		r.pc = next
-	}
-	return false
-}
 
 // genProgram builds a random but always-terminating program: a prologue of
 // random ALU/memory ops, a counted loop whose body mixes data-dependent
@@ -139,8 +88,9 @@ func genProgram(rng *rand.Rand, memBase uint64) *program.Program {
 }
 
 // TestDifferentialRandomPrograms runs random programs on both the
-// out-of-order core and the sequential oracle and requires identical
-// architectural state: registers and memory.
+// out-of-order core and the functional tier (internal/funcsim), the
+// sequential oracle, and requires identical architectural state: registers
+// and memory.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -157,40 +107,37 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Watchdog = 500_000
 		core := New(cfg, p, h, nil)
-		// Same initial register noise for both.
-		var init [16]uint64
-		for i := 1; i < 16; i++ {
-			init[i] = uint64(rng.Int63n(1 << 20))
-			core.SetIntReg(i, init[i])
-		}
-		core.Run()
-
-		ref := &refInterp{m: mem.NewMemory(), p: p}
-		refBase := ref.m.Alloc(256, 64)
-		if refBase != memBase {
+		refMem := mem.NewMemory()
+		if refBase := refMem.Alloc(256, 64); refBase != memBase {
 			t.Fatalf("allocator divergence: %#x vs %#x", refBase, memBase)
 		}
+		ref := funcsim.New(funcsim.Config{VecBytes: cfg.VecBytes, MaxInsts: 1_000_000}, p, refMem)
+		// Same initial register noise for both.
 		for i := 1; i < 16; i++ {
-			ref.x[i] = init[i]
+			v := uint64(rng.Int63n(1 << 20))
+			core.SetIntReg(i, v)
+			ref.SetIntReg(i, v)
 		}
-		if !ref.run(1_000_000) {
-			t.Fatalf("trial %d: oracle did not terminate", trial)
+		core.Run()
+		if err := ref.Run(); err != nil {
+			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
 
 		for i := 1; i < 23; i++ {
-			if got, want := core.IntReg(i), ref.x[i]; got != want {
+			if got, want := core.IntReg(i), ref.IntReg(i); got != want {
 				t.Fatalf("trial %d: x%d = %#x, want %#x\nprogram:\n%s", trial, i, got, want, p)
 			}
 		}
 		for i := 1; i < 11; i++ {
 			got := isa.FloatBits(arch.W8, core.FPReg(i, arch.W8))
-			if got != ref.f[i] {
-				t.Fatalf("trial %d: f%d = %#x, want %#x\nprogram:\n%s", trial, i, got, ref.f[i], p)
+			want := isa.FloatBits(arch.W8, ref.FPReg(i, arch.W8))
+			if got != want {
+				t.Fatalf("trial %d: f%d = %#x, want %#x\nprogram:\n%s", trial, i, got, want, p)
 			}
 		}
 		for off := 0; off < 256; off += 8 {
 			a := memBase + uint64(off)
-			if got, want := h.Mem.Read(a, arch.W8), ref.m.Read(a, arch.W8); got != want {
+			if got, want := h.Mem.Read(a, arch.W8), refMem.Read(a, arch.W8); got != want {
 				t.Fatalf("trial %d: mem[%#x] = %#x, want %#x\nprogram:\n%s", trial, a, got, want, p)
 			}
 		}

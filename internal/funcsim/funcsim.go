@@ -157,6 +157,11 @@ func (m *Machine) IntReg(n int) uint64 {
 	return m.intR[n]
 }
 
+// FPReg reads FP register n's current value as a float of width w.
+func (m *Machine) FPReg(n int, w arch.ElemWidth) float64 {
+	return isa.BitsFloat(w, m.fpR[n])
+}
+
 // SetStepHook installs fn to run immediately before each instruction
 // executes, with the register file in its pre-execution state — the probe
 // differential oracles (e.g. the absint soundness fuzzer) observe through.
