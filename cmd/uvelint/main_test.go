@@ -3,8 +3,8 @@ package main
 // Golden-file pins of uvelint's output. The -json report's field names and
 // shapes are a stable machine-readable surface (scripts/check.sh pipes them
 // through jsonvalid; downstream tooling parses them), and the -all -deps
-// text pins every diagnostic, dependence verdict and certificate of every
-// kernel program. Regenerate with `go test ./cmd/uvelint -update` after an
+// -cost text pins every diagnostic, dependence verdict, certificate and
+// cost estimate of every kernel program. Regenerate with `go test ./cmd/uvelint -update` after an
 // intentional schema or analysis change.
 
 import (
@@ -66,8 +66,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestAllKernelsGolden pins the text of `uvelint -all -deps`: every kernel
-// in every variant at its default size.
+// TestAllKernelsGolden pins the text of `uvelint -all -deps -cost`: every
+// kernel in every variant at its default size.
 func TestAllKernelsGolden(t *testing.T) {
 	variants, err := cliflags.Variants("all")
 	if err != nil {
@@ -76,14 +76,14 @@ func TestAllKernelsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, k := range kernels.All {
 		for _, v := range variants {
-			rep, inst, err := buildReport(k, v, k.DefaultSize, false)
+			rep, inst, err := buildReport(k, v, k.DefaultSize, true)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", k.ID, v, err)
 			}
 			writeText(&buf, programName(k, v, k.DefaultSize), rep, inst, true)
 		}
 	}
-	checkGolden(t, "all_deps.txt", buf.Bytes())
+	checkGolden(t, "all_deps_cost.txt", buf.Bytes())
 }
 
 // TestJSONReportShape guards the invariants the golden file alone cannot:
