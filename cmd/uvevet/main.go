@@ -60,7 +60,7 @@ import (
 // timeouts) and never renders payload bytes itself.
 var defaultDirs = []string{
 	"internal/sim", "internal/cpu", "internal/engine",
-	"internal/mem", "internal/bench", "internal/funcsim",
+	"internal/mem", "internal/bench", "internal/funcsim", "internal/interp",
 	"internal/lint", "internal/cost", "internal/absint", "internal/cfg",
 	"internal/program", "internal/descriptor", "internal/trace",
 	"internal/kernels", "internal/wire", "internal/report",

@@ -25,6 +25,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/descriptor"
 	"repro/internal/engine"
+	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -144,71 +145,71 @@ func Analyze(p *program.Program, params Params) (*Estimate, error) {
 	if params.Core.VecBytes <= 0 {
 		return nil, fmt.Errorf("cost: Core.VecBytes must be positive")
 	}
-	in := newInterp(p, params.Core.VecBytes, walk, steps)
+	a := newStatic(p, params.Core.VecBytes, walk)
 	for r, v := range params.IntArgs {
-		in.setIntReg(r, v)
+		a.m.SetReg(isa.X(r), interp.Val{V: v, Known: true})
 	}
-	in.run()
+	a.run(steps)
 
-	est := &Estimate{Exact: !in.bailed, Diags: in.diags}
-	if in.bailed {
-		est.Diags = append(est.Diags, in.bailMsg)
-		est.Committed = Interval(in.committed, Unbounded)
+	est := &Estimate{Exact: !a.bailed, Diags: a.diags}
+	if a.bailed {
+		est.Diags = append(est.Diags, a.bailMsg)
+		est.Committed = Interval(a.m.Committed, Unbounded)
 	} else {
-		est.Committed = Exact(in.committed)
+		est.Committed = Exact(a.m.Committed)
 	}
 	est.ByKind = map[string]Quantity{}
 	for k := isa.Kind(0); k < isa.KindCount; k++ {
-		if in.byKind[k] == 0 {
+		if a.m.ByKind[k] == 0 {
 			continue
 		}
-		if in.bailed {
-			est.ByKind[k.String()] = Interval(in.byKind[k], Unbounded)
+		if a.bailed {
+			est.ByKind[k.String()] = Interval(a.m.ByKind[k], Unbounded)
 		} else {
-			est.ByKind[k.String()] = Exact(in.byKind[k])
+			est.ByKind[k.String()] = Exact(a.m.ByKind[k])
 		}
 	}
-	if in.bailed {
+	if a.bailed {
 		tightenBailed(est, p, params)
 	}
 
-	if in.unknownLoads > 0 {
-		in.diags = append(in.diags,
-			fmt.Sprintf("%d load(s) with data-dependent addresses: read footprint under-approximated", in.unknownLoads))
-		est.Diags = in.diags
+	if a.unknownLoads > 0 {
+		a.diags = append(a.diags,
+			fmt.Sprintf("%d load(s) with data-dependent addresses: read footprint under-approximated", a.unknownLoads))
+		est.Diags = a.diags
 	}
-	est.Streams = streamCosts(in)
+	est.Streams = streamCosts(a)
 	for _, sc := range est.Streams {
 		if !sc.Elems.IsExact() || !sc.LineRequests.IsExact() {
 			est.Exact = false
 		}
 	}
-	buildBounds(est, in, &params)
+	buildBounds(est, a, &params)
 	return est, nil
 }
 
 // streamCosts assembles the per-instance cost records, mirroring how the
 // engine's committed StreamTraffic snapshots count: committed chunks for
 // core-consumed streams, settled-prefix chunks for engine-consumed origins.
-func streamCosts(in *interp) []StreamCost {
+func streamCosts(a *static) []StreamCost {
 	var out []StreamCost
-	for _, s := range in.all {
-		if s.configuring || s.work == nil {
+	for _, s := range a.m.All {
+		if s.Configuring || s.X.w == nil {
 			continue
 		}
-		w := s.work
+		w := s.X.w
 		sc := StreamCost{
-			U:     s.u,
-			Kind:  s.kind.String(),
-			Width: int(s.w),
-			Level: s.level.String(),
+			U:     s.U,
+			Kind:  s.Kind.String(),
+			Width: int(s.W),
+			Level: s.Desc.Level.String(),
 			Desc:  w.desc.String(),
 			Note:  strings.TrimSpace(strings.Join([]string{w.note, w.addrNote}, "; ")),
 		}
 		sc.Note = strings.Trim(sc.Note, "; ")
-		if !w.exact || s.posUnknown || in.bailed {
+		if !w.exact || s.Chunks < 0 || a.bailed {
 			sc.Elems = Interval(0, w.hi)
-			sc.Bytes = sc.Elems.scale(uint64(s.w))
+			sc.Bytes = sc.Elems.scale(uint64(s.W))
 			sc.Chunks = Interval(0, Unbounded)
 			sc.DimBoundaries = Interval(0, Unbounded)
 			sc.LineRequests = Interval(0, Unbounded)
@@ -220,10 +221,10 @@ func streamCosts(in *interp) []StreamCost {
 			out = append(out, sc)
 			continue
 		}
-		chunks := s.pos
-		if s.drained > 0 {
+		chunks := s.Pos
+		if s.X.drained > 0 {
 			var cum, c int64
-			for c < w.chunks && cum+w.nAt(c) <= s.drained {
+			for c < w.chunks && cum+w.nAt(c) <= s.X.drained {
 				cum += w.nAt(c)
 				c++
 			}
@@ -232,27 +233,27 @@ func streamCosts(in *interp) []StreamCost {
 			}
 		}
 		elems, dimBounds := w.prefix(chunks)
-		sc.Complete = s.released && chunks == w.chunks
+		sc.Complete = s.Released && chunks == w.chunks
 		sc.Elems = Exact(uint64(elems))
-		sc.Bytes = Exact(uint64(elems) * uint64(s.w))
+		sc.Bytes = Exact(uint64(elems) * uint64(s.W))
 		sc.Chunks = Exact(uint64(chunks))
 		sc.DimBoundaries = Exact(uint64(dimBounds))
 		switch {
-		case s.kind == descriptor.Load && w.addrExact && sc.Complete:
+		case s.Kind == descriptor.Load && w.addrExact && sc.Complete:
 			sc.LineRequests = Exact(uint64(w.lineReqs))
-		case s.kind == descriptor.Load && w.addrExact:
+		case s.Kind == descriptor.Load && w.addrExact:
 			sc.LineRequests = Interval(0, uint64(w.lineReqs))
-		case s.kind == descriptor.Load:
+		case s.Kind == descriptor.Load:
 			sc.LineRequests = Interval(0, uint64(w.elems))
 		default:
 			sc.LineRequests = Exact(0)
 		}
 		switch {
-		case s.kind == descriptor.Store && w.addrExact && sc.Complete:
+		case s.Kind == descriptor.Store && w.addrExact && sc.Complete:
 			sc.StoreLines = Exact(uint64(w.storeLines))
-		case s.kind == descriptor.Store && w.addrExact:
+		case s.Kind == descriptor.Store && w.addrExact:
 			sc.StoreLines = Interval(0, uint64(w.storeLines))
-		case s.kind == descriptor.Store:
+		case s.Kind == descriptor.Store:
 			sc.StoreLines = Interval(0, uint64(w.elems))
 		default:
 			sc.StoreLines = Exact(0)
@@ -277,21 +278,22 @@ func ceilDiv(n uint64, d int) int64 {
 // buildBounds composes the cycle lower bounds from the exact-prefix tallies
 // (sound even after a bail: the real run commits at least the resolved
 // prefix) and the settled stream works.
-func buildBounds(est *Estimate, in *interp, params *Params) {
+func buildBounds(est *Estimate, a *static, params *Params) {
 	b := &est.Bounds
-	b.Commit = ceilDiv(in.committed, params.Core.CommitWidth)
-	b.Issue = ceilDiv(in.committed, params.Core.IssueWidth)
+	byKind := &a.m.ByKind
+	b.Commit = ceilDiv(a.m.Committed, params.Core.CommitWidth)
+	b.Issue = ceilDiv(a.m.Committed, params.Core.IssueWidth)
 
 	// Per-port-group issue throughput, mirroring cpu.groupOf.
 	groups := map[string]struct {
 		n   uint64
 		cap int
 	}{
-		"int": {in.byKind[isa.KindIntALU] + in.byKind[isa.KindBranch] + in.byKind[isa.KindNop] +
-			in.byKind[isa.KindStreamCfg] + in.byKind[isa.KindStreamCtl], params.Core.IntALUs},
-		"vecfp": {in.byKind[isa.KindFPALU] + in.byKind[isa.KindVecALU], params.Core.VecFPUs},
-		"load":  {in.byKind[isa.KindLoad], params.Core.LoadPorts},
-		"store": {in.byKind[isa.KindStore], params.Core.StorePorts},
+		"int": {byKind[isa.KindIntALU] + byKind[isa.KindBranch] + byKind[isa.KindNop] +
+			byKind[isa.KindStreamCfg] + byKind[isa.KindStreamCtl], params.Core.IntALUs},
+		"vecfp": {byKind[isa.KindFPALU] + byKind[isa.KindVecALU], params.Core.VecFPUs},
+		"load":  {byKind[isa.KindLoad], params.Core.LoadPorts},
+		"store": {byKind[isa.KindStore], params.Core.StorePorts},
 	}
 	b.Ports = map[string]int64{}
 	for name, g := range groups {
@@ -303,23 +305,24 @@ func buildBounds(est *Estimate, in *interp, params *Params) {
 	// NumModules), every committed store line drains at one line per cycle,
 	// and every coalesced line request passes the engine's load-port budget.
 	var sumSteps, storeLines, lineReqs int64
-	for _, s := range in.all {
-		if s.configuring || s.work == nil || !s.work.exact || s.posUnknown || in.bailed {
+	for _, s := range a.m.All {
+		w := s.X.w
+		if s.Configuring || w == nil || !w.exact || s.Chunks < 0 || a.bailed {
 			continue
 		}
-		if !(s.released && (s.pos == s.work.chunks || s.drained >= s.work.elems)) {
+		if !(s.Released && (s.Pos == w.chunks || s.X.drained >= w.elems)) {
 			continue
 		}
-		steps := s.work.genSteps()
+		steps := w.genSteps()
 		if steps > b.EngineStream {
 			b.EngineStream = steps
 		}
 		sumSteps += steps
-		if s.work.addrExact {
-			if s.kind == descriptor.Store {
-				storeLines += s.work.storeLines
+		if w.addrExact {
+			if s.Kind == descriptor.Store {
+				storeLines += w.storeLines
 			} else {
-				lineReqs += s.work.lineReqs
+				lineReqs += w.lineReqs
 			}
 		}
 	}
@@ -334,22 +337,23 @@ func buildBounds(est *Estimate, in *interp, params *Params) {
 	// sound; if any store's lines are unknown — or the interpretation
 	// bailed, leaving unanalyzed code that could store anywhere — no line
 	// is provably read-only and the bound is dropped.
-	writesUnknown := in.writesUnknown || in.bailed
+	writesUnknown := a.writesUnknown || a.bailed
 	read := map[uint64]struct{}{}
 	written := map[uint64]struct{}{}
-	for l := range in.readLines {
+	for l := range a.readLines {
 		read[l] = struct{}{}
 	}
-	for l := range in.writeLines {
+	for l := range a.writeLines {
 		written[l] = struct{}{}
 	}
-	for _, s := range in.all {
-		if s.configuring || s.work == nil {
+	for _, s := range a.m.All {
+		w := s.X.w
+		if s.Configuring || w == nil {
 			continue
 		}
-		if s.kind == descriptor.Store {
-			if s.work.addrExact {
-				for _, l := range s.work.lines {
+		if s.Kind == descriptor.Store {
+			if w.addrExact {
+				for _, l := range w.lines {
 					written[l] = struct{}{}
 				}
 			} else {
@@ -357,9 +361,9 @@ func buildBounds(est *Estimate, in *interp, params *Params) {
 			}
 			continue
 		}
-		if s.work.addrExact && s.work.exact && !s.posUnknown && !in.bailed &&
-			s.released && (s.pos == s.work.chunks || s.drained >= s.work.elems) {
-			for _, l := range s.work.lines {
+		if w.addrExact && w.exact && s.Chunks >= 0 && !a.bailed &&
+			s.Released && (s.Pos == w.chunks || s.X.drained >= w.elems) {
+			for _, l := range w.lines {
 				read[l] = struct{}{}
 			}
 		}

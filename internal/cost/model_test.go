@@ -7,6 +7,7 @@ package cost_test
 // per-stream work quantities equal the engine's committed traffic records.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/program"
 	"repro/internal/sim"
 )
 
@@ -87,6 +89,39 @@ func TestModelExactCounts(t *testing.T) {
 	}
 	if cells == 0 {
 		t.Fatal("exact-count sweep covered no cells")
+	}
+}
+
+// TestImplicitHaltExact: a program that runs off its end executes the
+// implicit halt, on both tiers and in the model alike.
+func TestImplicitHaltExact(t *testing.T) {
+	b := program.NewBuilder("no-halt")
+	b.I(isa.Li(isa.X(1), 5))
+	b.I(isa.AddI(isa.X(1), isa.X(1), 1))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := cost.Analyze(p, cost.DefaultParams(kernels.UVE.VecBytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !est.Exact || est.Committed != cost.Exact(3) ||
+		est.ByKind["int"] != cost.Exact(2) || est.ByKind["nop"] != cost.Exact(1) || len(est.ByKind) != 2 {
+		t.Fatalf("estimate: exact=%v committed %s by kind %v (diags %v), want exactly 3: int 2, nop 1",
+			est.Exact, est.Committed, est.ByKind, est.Diags)
+	}
+	for _, f := range []sim.Fidelity{sim.Functional, sim.Cycle} {
+		o := sim.DefaultOptions(kernels.UVE)
+		o.Fidelity = f
+		h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
+		res, err := sim.RunInstance(context.Background(), h, &kernels.Instance{Prog: p}, false, &o)
+		if err != nil {
+			t.Fatalf("%v run: %v", f, err)
+		}
+		if res.Committed != 3 || res.Core.CommittedByKind[isa.KindIntALU] != 2 || res.Core.CommittedByKind[isa.KindNop] != 1 {
+			t.Errorf("%v tier committed %d (by kind %v), want 3: int 2, nop 1", f, res.Committed, res.Core.CommittedByKind)
+		}
 	}
 }
 
