@@ -217,3 +217,39 @@ func TestNegativeSetVLFromLoad(t *testing.T) {
 	}
 	requireSoundInterval(t, "committed", est.Committed, truth)
 }
+
+// TestNegativeBranchToImplicitHalt: a data-dependent branch whose target is
+// the end of the program bails the walk; the proved upper bound must count
+// the implicit halt a pc past the end executes, and every kind the bound
+// covers needs an entry, including kinds the resolved prefix never reached.
+func TestNegativeBranchToImplicitHalt(t *testing.T) {
+	h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
+	base := h.Mem.Alloc(arch.LineSize, arch.LineSize)
+	h.Mem.Write(base, arch.W8, 5)
+
+	b := program.NewBuilder("neg-branch-to-end")
+	b.I(isa.Load(arch.W8, isa.X(5), isa.X(1), 0))
+	b.I(isa.Blt(isa.X(5), isa.X(0), "end"))
+	b.I(isa.AddI(isa.X(6), isa.X(6), 1))
+	b.Label("end")
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	est, truth := analyzeAndRun(t, p, h, map[int]uint64{1: base})
+	if truth != 4 {
+		t.Fatalf("functional tier committed %d, want 4 (load, blt, addi, implicit halt)", truth)
+	}
+	requireSoundInterval(t, "committed", est.Committed, truth)
+	if est.Committed.Hi == cost.Unbounded {
+		t.Fatalf("committed %s: the loop-free program got no proved upper bound", est.Committed)
+	}
+	for _, kind := range []string{"branch", "int", "nop"} {
+		q, ok := est.ByKind[kind]
+		if !ok {
+			t.Fatalf("no %s entry in the bailed estimate's per-kind counts %v", kind, est.ByKind)
+		}
+		requireSoundInterval(t, kind, q, 1)
+	}
+}
