@@ -123,13 +123,17 @@ func buildIrsmk(h *mem.Hierarchy, v Variant, m int) *Instance {
 			b.I(isa.Div(isa.X(10), isa.X(1), isa.X(15)))
 			b.I(isa.Mul(isa.X(10), isa.X(10), isa.X(15)))
 		}
+		// Term t's coefficients start aB[t]-aB[0] bytes past x20: each array
+		// is a line-aligned allocation, so they are contiguous only when a
+		// grid fills whole lines.
+		aOff := func(t int) int64 { return int64(aB[t] - aB[0]) }
 		b.Label("x")
 		b.I(isa.Add(isa.X(12), isa.X(8), isa.X(9)))
 		b.I(isa.VDupX(w, isa.V(3), isa.X(0)))
 		for t := 0; t < terms; t++ {
 			o := offs[t]
 			shift := int64(o[2]*m*m + o[1]*m + o[0])
-			b.I(isa.VLoad(w, isa.V(1), isa.X(20), isa.X(12), int64(t)*int64(grid), pred))
+			b.I(isa.VLoad(w, isa.V(1), isa.X(20), isa.X(12), aOff(t)/4, pred))
 			b.I(isa.VLoad(w, isa.V(2), isa.X(21), isa.X(12), shift, pred))
 			b.I(isa.VFMla(w, isa.V(3), isa.V(1), isa.V(2), pred))
 		}
@@ -151,7 +155,7 @@ func buildIrsmk(h *mem.Hierarchy, v Variant, m int) *Instance {
 				o := offs[t]
 				shift := int64(o[2]*m*m + o[1]*m + o[0])
 				b.I(isa.Add(isa.X(14), isa.X(13), isa.X(20)))
-				b.I(isa.FLoad(w, isa.F(11), isa.X(14), int64(t)*int64(grid)*4))
+				b.I(isa.FLoad(w, isa.F(11), isa.X(14), aOff(t)))
 				b.I(isa.Add(isa.X(14), isa.X(13), isa.X(21)))
 				b.I(isa.FLoad(w, isa.F(12), isa.X(14), shift*4))
 				b.I(isa.FMadd(w, isa.F(10), isa.F(11), isa.F(12), isa.F(10)))
@@ -184,7 +188,7 @@ func buildIrsmk(h *mem.Hierarchy, v Variant, m int) *Instance {
 	inst.IntArgs[1] = uint64(m - 2)
 	inst.IntArgs[2] = uint64(m)
 	inst.IntArgs[3] = uint64(m - 1)
-	inst.IntArgs[20] = aB[0] // coefficient arrays are contiguous allocations
+	inst.IntArgs[20] = aB[0] // the coefficient arrays' common base
 	inst.IntArgs[21] = xB
 	inst.IntArgs[22] = bB
 	return finalize(h, inst)

@@ -21,6 +21,7 @@ func FuzzTierDifferential(f *testing.F) {
 	f.Add(uint8(7), uint8(2), uint16(48))
 	f.Add(uint8(12), uint8(0), uint16(33))
 	f.Add(uint8(18), uint8(0), uint16(0)) // cubic kernel: keep the cell tiny
+	f.Add(uint8(10), uint8(2), uint16(2)) // IRSmk/NEON n=18: coefficient arrays not contiguous
 	f.Fuzz(func(t *testing.T, ki, vi uint8, rawSize uint16) {
 		k := kernels.All[int(ki)%len(kernels.All)]
 		v := []kernels.Variant{kernels.UVE, kernels.SVE, kernels.NEON}[int(vi)%3]
