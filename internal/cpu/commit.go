@@ -20,6 +20,9 @@ func (c *Core) commit() {
 			c.takeFault(e)
 			return
 		}
+		if e.unimpl {
+			panic(&UnimplementedError{PC: e.pc, Op: e.inst.Op.Name()})
+		}
 		in := &e.inst
 
 		for i := range e.consumes {

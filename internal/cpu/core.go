@@ -109,6 +109,7 @@ type robEntry struct {
 	sbLast bool
 
 	fault     bool
+	unimpl    bool // op the core does not model: executed as a no-op, fails at commit
 	faultAddr uint64
 }
 

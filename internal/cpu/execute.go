@@ -264,8 +264,20 @@ func (c *Core) execute(e *robEntry) {
 		}
 
 	default:
-		panic(fmt.Sprintf("cpu: unimplemented op %s", op.Name()))
+		// Only a commit makes it an error: on a wrong path it is squashed.
+		e.unimpl = true
 	}
+}
+
+// UnimplementedError ends a run that commits an op the core does not model
+// (the functional tier rejects the same op when it reaches it).
+type UnimplementedError struct {
+	PC int
+	Op string
+}
+
+func (u *UnimplementedError) Error() string {
+	return fmt.Sprintf("cpu: pc %d: unimplemented op %s", u.PC, u.Op)
 }
 
 func (c *Core) readPredSrc(e *robEntry) isa.PredVal {

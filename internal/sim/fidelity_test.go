@@ -9,10 +9,16 @@ package sim_test
 // the two tiers and fails loudly with the kernel/variant/size cell.
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/bench"
+	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/mem"
+	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -87,5 +93,35 @@ func TestFunctionalRejectsTimingOptions(t *testing.T) {
 	o.Trace = trace.NewCollector(64, 0)
 	if _, err := sim.Run(k, kernels.UVE, 64, &o); err == nil {
 		t.Error("functional run with a trace recorder succeeded; want error")
+	}
+}
+
+// TestUnimplementedOpBothTiers: an op neither tier models (the scatter
+// vstoreg) fails the run with an error when it commits and is harmless on a
+// wrong path, alike on both tiers.
+func TestUnimplementedOpBothTiers(t *testing.T) {
+	scatter := isa.Inst{Op: isa.OpVStoreG, Src1: isa.X(1), Src2: isa.V(0), Src3: isa.V(1), W: arch.W8}
+	committed := program.NewBuilder("scatter").I(scatter).MustBuild()
+	wrongPath := program.NewBuilder("scatter-wrong-path").
+		I(isa.Li(isa.X(1), 1), isa.Bne(isa.X(1), isa.X(0), "end"), scatter).
+		Label("end").I(isa.Halt()).MustBuild()
+
+	for _, f := range []sim.Fidelity{sim.Functional, sim.Cycle} {
+		run := func(p *program.Program) (*sim.Result, error) {
+			o := sim.DefaultOptions(kernels.UVE)
+			o.Fidelity = f
+			h := mem.NewHierarchy(o.Hier)
+			return sim.RunInstance(context.Background(), h, &kernels.Instance{Prog: p}, true, &o)
+		}
+		if _, err := run(committed); err == nil || !strings.Contains(err.Error(), "pc 0: unimplemented op vstoreg") {
+			t.Errorf("%s tier, committed vstoreg: err = %v, want pc 0: unimplemented op vstoreg", f, err)
+		}
+		res, err := run(wrongPath)
+		if err != nil {
+			t.Fatalf("%s tier, vstoreg on a wrong path: %v", f, err)
+		}
+		if res.Committed != 3 {
+			t.Errorf("%s tier, vstoreg on a wrong path: committed %d, want 3", f, res.Committed)
+		}
 	}
 }
