@@ -59,20 +59,14 @@ func Stalls(o *Options) []StallRow {
 	for i, t := range ts {
 		res := results[i]
 		att := t.col.Attribution()
-		tot := att.Totals()
+		breakdown, drain := att.Breakdown()
 		row := StallRow{
 			ID: t.job.Kernel.ID, Name: t.job.Kernel.Name,
 			Variant: t.job.Variant, Size: t.job.Size,
 			Cycles:     res.Cycles,
 			Attributed: att.AttributedExcludingDrain(),
-			Drain:      tot[trace.ClassDrain],
-			Breakdown:  make(map[string]int64),
-		}
-		for cl := trace.StallClass(0); cl < trace.ClassCount; cl++ {
-			if cl == trace.ClassDrain || tot[cl] == 0 {
-				continue
-			}
-			row.Breakdown[cl.String()] = tot[cl]
+			Drain:      drain,
+			Breakdown:  breakdown,
 		}
 		rows = append(rows, row)
 		if o != nil && o.Verbose {

@@ -51,19 +51,10 @@ func (p *progress) snapshot() Snapshot {
 	return Snapshot{Cycle: p.cycle, Committed: p.insts}
 }
 
-// breakdown folds the attribution into the payload's stall section:
-// per-class cycle counts (zero classes and the post-halt drain class
-// omitted, matching uvebench -stalls) plus the drain count.
+// breakdown is the attribution's stall breakdown (see
+// trace.Attribution.Breakdown), read under the lock.
 func (p *progress) breakdown() (map[string]int64, int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tot := p.col.Attribution().Totals()
-	out := make(map[string]int64)
-	for cl := trace.StallClass(0); cl < trace.ClassCount; cl++ {
-		if cl == trace.ClassDrain || tot[cl] == 0 {
-			continue
-		}
-		out[cl.String()] = tot[cl]
-	}
-	return out, tot[trace.ClassDrain]
+	return p.col.Attribution().Breakdown()
 }

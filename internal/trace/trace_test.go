@@ -96,6 +96,21 @@ func TestAttributionIntervals(t *testing.T) {
 	if tot[ClassDrain] == 0 {
 		t.Error("expected some drain cycles in the test pattern")
 	}
+
+	// The breakdown names the four non-drain classes with their cycles (5
+	// each) and returns the drain count apart; absent classes stay out.
+	bd, drain := att.Breakdown()
+	if drain != tot[ClassDrain] || len(bd) != 4 {
+		t.Errorf("Breakdown() = %v, drain %d; want 4 classes and drain %d", bd, drain, tot[ClassDrain])
+	}
+	for _, cl := range classes[:4] {
+		if bd[cl.String()] != 5 {
+			t.Errorf("Breakdown()[%s] = %d, want 5", cl, bd[cl.String()])
+		}
+	}
+	if bd, _ := new(Attribution).Breakdown(); bd == nil || len(bd) != 0 {
+		t.Errorf("empty attribution Breakdown() = %#v, want an empty non-nil map", bd)
+	}
 }
 
 func TestWriteChromeValidJSON(t *testing.T) {
