@@ -306,46 +306,66 @@ type SweepPoint struct {
 	Speedup float64 // reference cycles / cycles
 }
 
-// sensitivityKernels is the Fig 9–11 subset.
-var sensitivityKernels = []string{"D", "J", "B", "O"}
+// series is one machine variant of a sweep: its points, in run order, and
+// the index of the reference point the others are normalized to.
+type series struct {
+	variant kernels.Variant
+	points  []point
+	ref     int
+}
 
-// fig9Variants are the two machines Fig 9 compares.
-var fig9Variants = []kernels.Variant{kernels.UVE, kernels.SVE}
+// point is one sweep setting. set adjusts the job from the variant's
+// Table I default (nil keeps the default); a point without a param runs
+// only as its series' reference and is not reported.
+type point struct {
+	param string
+	set   func(j *Job)
+}
 
-// Fig9 sweeps the number of vector physical registers {48, 64, 96} for UVE
-// and SVE (paper Fig 9: UVE flat, SVE rising). The 48-PR point is the
-// Table I default, so it memo-shares with the Fig 8 baseline run.
-func Fig9(o *Options) []SweepPoint {
-	prs := []int{48, 64, 96}
+// points labels one point per value with the format and applies the value
+// with set.
+func points(format string, vals []int, set func(j *Job, v int)) []point {
+	ps := make([]point, len(vals))
+	for i, v := range vals {
+		ps[i] = point{fmt.Sprintf(format, v), func(j *Job) { set(j, v) }}
+	}
+	return ps
+}
+
+// sweep runs the kernel × series × point grid, in that order, in one RunAll
+// over the options' runner and normalizes each reported point to its
+// series' reference point on the same kernel.
+func sweep(o *Options, kernelIDs []string, ss []series) []SweepPoint {
 	var jobs []Job
-	for _, id := range sensitivityKernels {
+	for _, id := range kernelIDs {
 		k := kernels.ByID(id)
 		size := SizeFor(k, o)
-		for _, v := range fig9Variants {
-			for _, pr := range prs {
-				opts := sim.DefaultOptions(v)
-				opts.Core.VecPRF = pr
-				jobs = append(jobs, Job{Kernel: k, Variant: v, Size: size, Opts: &opts})
+		for _, s := range ss {
+			for _, p := range s.points {
+				opts := sim.DefaultOptions(s.variant)
+				j := Job{Kernel: k, Variant: s.variant, Size: size, Opts: &opts}
+				if p.set != nil {
+					p.set(&j)
+				}
+				jobs = append(jobs, j)
 			}
 		}
 	}
 	results := mustAll(o.Runner().RunAll(jobs))
 
 	var out []SweepPoint
-	i := 0
-	for _, id := range sensitivityKernels {
-		k := kernels.ByID(id)
-		for _, v := range fig9Variants {
-			ref := int64(0)
-			for _, pr := range prs {
-				res := results[i]
-				i++
-				if pr == 48 {
-					ref = res.Cycles
+	for _, id := range kernelIDs {
+		name := kernels.ByID(id).Name
+		for _, s := range ss {
+			res := results[:len(s.points)]
+			results = results[len(s.points):]
+			for i, p := range s.points {
+				if p.param == "" {
+					continue
 				}
 				out = append(out, SweepPoint{
-					Kernel: k.Name, Variant: v, Param: fmt.Sprintf("%dPR", pr),
-					Cycles: res.Cycles, Speedup: safeDiv(float64(ref), float64(res.Cycles)),
+					Kernel: name, Variant: s.variant, Param: p.param, Cycles: res[i].Cycles,
+					Speedup: safeDiv(float64(res[s.ref].Cycles), float64(res[i].Cycles)),
 				})
 			}
 		}
@@ -353,145 +373,51 @@ func Fig9(o *Options) []SweepPoint {
 	return out
 }
 
+// sensitivityKernels is the Fig 9–11 subset.
+var sensitivityKernels = []string{"D", "J", "B", "O"}
+
+// Fig9 sweeps the number of vector physical registers {48, 64, 96} for UVE
+// and SVE (paper Fig 9: UVE flat, SVE rising). The 48-PR point is the
+// Table I default, so it memo-shares with the Fig 8 baseline run.
+func Fig9(o *Options) []SweepPoint {
+	prs := points("%dPR", []int{48, 64, 96}, func(j *Job, pr int) { j.Opts.Core.VecPRF = pr })
+	return sweep(o, sensitivityKernels, []series{{kernels.UVE, prs, 0}, {kernels.SVE, prs, 0}})
+}
+
 // Fig10 sweeps the Load/Store FIFO depth {2, 4, 8, 12} on the UVE machine
 // (paper Fig 10: ≥4 needed, 8 slightly better, saturating; MAMR most
 // sensitive). Results are normalized to depth 8.
 func Fig10(o *Options) []SweepPoint {
-	depths := []int{2, 4, 8, 12}
-	ks := append([]string{"E"}, sensitivityKernels...)
-	var jobs []Job
-	for _, id := range ks {
-		k := kernels.ByID(id)
-		size := SizeFor(k, o)
-		for _, d := range depths {
-			opts := sim.DefaultOptions(kernels.UVE)
-			opts.Eng.FIFODepth = d
-			jobs = append(jobs, Job{Kernel: k, Variant: kernels.UVE, Size: size, Opts: &opts})
-		}
-	}
-	results := mustAll(o.Runner().RunAll(jobs))
-
-	var out []SweepPoint
-	i := 0
-	for _, id := range ks {
-		k := kernels.ByID(id)
-		cycles := map[int]int64{}
-		for _, d := range depths {
-			cycles[d] = results[i].Cycles
-			i++
-		}
-		for _, d := range depths {
-			out = append(out, SweepPoint{
-				Kernel: k.Name, Variant: kernels.UVE, Param: fmt.Sprintf("depth=%d", d),
-				Cycles: cycles[d], Speedup: safeDiv(float64(cycles[8]), float64(cycles[d])),
-			})
-		}
-	}
-	return out
+	depths := points("depth=%d", []int{2, 4, 8, 12}, func(j *Job, d int) { j.Opts.Eng.FIFODepth = d })
+	return sweep(o, append([]string{"E"}, sensitivityKernels...), []series{{kernels.UVE, depths, 2}})
 }
 
 // Fig11 sweeps the memory level streams operate over {L1, L2, DRAM}
 // (paper Fig 11: L2 generally best). Normalized to L2.
 func Fig11(o *Options) []SweepPoint {
-	levels := []arch.CacheLevel{arch.LevelL1, arch.LevelL2, arch.LevelMem}
-	var jobs []Job
-	for _, id := range sensitivityKernels {
-		k := kernels.ByID(id)
-		size := SizeFor(k, o)
-		for _, lvl := range levels {
-			lvl := lvl
-			opts := sim.DefaultOptions(kernels.UVE)
-			opts.Eng.ForceLevel = &lvl
-			jobs = append(jobs, Job{Kernel: k, Variant: kernels.UVE, Size: size, Opts: &opts})
-		}
+	var levels []point
+	for _, lvl := range []arch.CacheLevel{arch.LevelL1, arch.LevelL2, arch.LevelMem} {
+		levels = append(levels, point{lvl.String(), func(j *Job) { j.Opts.Eng.ForceLevel = &lvl }})
 	}
-	results := mustAll(o.Runner().RunAll(jobs))
-
-	var out []SweepPoint
-	i := 0
-	for _, id := range sensitivityKernels {
-		k := kernels.ByID(id)
-		cycles := map[arch.CacheLevel]int64{}
-		for _, lvl := range levels {
-			cycles[lvl] = results[i].Cycles
-			i++
-		}
-		for _, lvl := range levels {
-			out = append(out, SweepPoint{
-				Kernel: k.Name, Variant: kernels.UVE, Param: lvl.String(),
-				Cycles: cycles[lvl], Speedup: safeDiv(float64(cycles[arch.LevelL2]), float64(cycles[lvl])),
-			})
-		}
-	}
-	return out
+	return sweep(o, sensitivityKernels, []series{{kernels.UVE, levels, 1}})
 }
 
 // SPMSweep varies the number of Stream Processing Modules from 2 to 8
 // (paper §VI-B: less than 0.1% variation). Normalized to 2 modules.
 func SPMSweep(o *Options) []SweepPoint {
-	mods := []int{2, 4, 8}
-	var jobs []Job
-	for _, id := range sensitivityKernels {
-		k := kernels.ByID(id)
-		size := SizeFor(k, o)
-		for _, m := range mods {
-			opts := sim.DefaultOptions(kernels.UVE)
-			opts.Eng.NumModules = m
-			jobs = append(jobs, Job{Kernel: k, Variant: kernels.UVE, Size: size, Opts: &opts})
-		}
-	}
-	results := mustAll(o.Runner().RunAll(jobs))
-
-	var out []SweepPoint
-	i := 0
-	for _, id := range sensitivityKernels {
-		k := kernels.ByID(id)
-		cycles := map[int]int64{}
-		for _, m := range mods {
-			cycles[m] = results[i].Cycles
-			i++
-		}
-		for _, m := range mods {
-			out = append(out, SweepPoint{
-				Kernel: k.Name, Variant: kernels.UVE, Param: fmt.Sprintf("%dSPM", m),
-				Cycles: cycles[m], Speedup: safeDiv(float64(cycles[2]), float64(cycles[m])),
-			})
-		}
-	}
-	return out
+	mods := points("%dSPM", []int{2, 4, 8}, func(j *Job, m int) { j.Opts.Eng.NumModules = m })
+	return sweep(o, sensitivityKernels, []series{{kernels.UVE, mods, 0}})
 }
 
 // Fig8E measures the UVE GEMM with inner-loop unrolling 1/2/4/8 (paper
 // Fig 8.E). Normalized to no unrolling.
 func Fig8E(o *Options) []SweepPoint {
-	factors := []int{1, 2, 4, 8}
-	k := kernels.ByID("D")
-	size := SizeFor(k, o)
-	var jobs []Job
-	for _, f := range factors {
-		f := f
-		jobs = append(jobs, Job{
-			Variant: kernels.UVE, Size: size,
-			Key: fmt.Sprintf("fig8e-gemm-unroll%d", f),
-			Build: func(h *mem.Hierarchy) *kernels.Instance {
-				return kernels.UnrolledGemmUVE(h, size, f)
-			},
-		})
-	}
-	results := mustAll(o.Runner().RunAll(jobs))
-
-	cycles := map[int]int64{}
-	for i, f := range factors {
-		cycles[f] = results[i].Cycles
-	}
-	var out []SweepPoint
-	for _, f := range factors {
-		out = append(out, SweepPoint{
-			Kernel: "GEMM", Variant: kernels.UVE, Param: fmt.Sprintf("unroll=%d", f),
-			Cycles: cycles[f], Speedup: safeDiv(float64(cycles[1]), float64(cycles[f])),
-		})
-	}
-	return out
+	unrolls := points("unroll=%d", []int{1, 2, 4, 8}, func(j *Job, f int) {
+		size := j.Size
+		j.Key = fmt.Sprintf("fig8e-gemm-unroll%d", f)
+		j.Build = func(h *mem.Hierarchy) *kernels.Instance { return kernels.UnrolledGemmUVE(h, size, f) }
+	})
+	return sweep(o, []string{"D"}, []series{{kernels.UVE, unrolls, 0}})
 }
 
 // FormatSweep renders sweep points grouped by kernel.
@@ -576,40 +502,11 @@ func FormatHW() string {
 
 // Ablations quantifies the design choices DESIGN.md calls out, beyond the
 // paper's own sweeps: the baseline without its hardware prefetchers, and
-// the engine restricted to a single load port.
+// the engine restricted to a single load port. The default-configuration
+// references memo-share with Fig 8 under `-exp all`.
 func Ablations(o *Options) []SweepPoint {
-	ids := []string{"C", "D", "B", "F"}
-	var jobs []Job
-	for _, id := range ids {
-		k := kernels.ByID(id)
-		size := SizeFor(k, o)
-		// Baseline prefetchers on/off. The default-config reference runs
-		// memo-share with Fig 8 under `-exp all`.
-		noPf := sim.DefaultOptions(kernels.SVE)
-		noPf.Hier.Prefetchers = false
-		// Engine load ports 2 → 1.
-		onePort := sim.DefaultOptions(kernels.UVE)
-		onePort.Eng.LoadPorts = 1
-		jobs = append(jobs,
-			Job{Kernel: k, Variant: kernels.SVE, Size: size},
-			Job{Kernel: k, Variant: kernels.SVE, Size: size, Opts: &noPf},
-			Job{Kernel: k, Variant: kernels.UVE, Size: size},
-			Job{Kernel: k, Variant: kernels.UVE, Size: size, Opts: &onePort},
-		)
-	}
-	results := mustAll(o.Runner().RunAll(jobs))
-
-	var out []SweepPoint
-	for i, id := range ids {
-		k := kernels.ByID(id)
-		ref, noPf, uveRef, onePort := results[4*i], results[4*i+1], results[4*i+2], results[4*i+3]
-		out = append(out, SweepPoint{
-			Kernel: k.Name, Variant: kernels.SVE, Param: "no-prefetch",
-			Cycles: noPf.Cycles, Speedup: safeDiv(float64(ref.Cycles), float64(noPf.Cycles)),
-		}, SweepPoint{
-			Kernel: k.Name, Variant: kernels.UVE, Param: "1-load-port",
-			Cycles: onePort.Cycles, Speedup: safeDiv(float64(uveRef.Cycles), float64(onePort.Cycles)),
-		})
-	}
-	return out
+	return sweep(o, []string{"C", "D", "B", "F"}, []series{
+		{kernels.SVE, []point{{}, {"no-prefetch", func(j *Job) { j.Opts.Hier.Prefetchers = false }}}, 0},
+		{kernels.UVE, []point{{}, {"1-load-port", func(j *Job) { j.Opts.Eng.LoadPorts = 1 }}}, 0},
+	})
 }
