@@ -8,53 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// TestBenchMemoKeyCoversOptions asserts every sim.Options field that
-// changes what a simulation computes or measures separates memo keys. A
-// field missing from configFP would let two different runs share a result
-// (the pre-existing bug this PR fixes for Sanitize, and guards for the new
-// fault/watchdog/hash options).
-func TestBenchMemoKeyCoversOptions(t *testing.T) {
-	k := kernels.ByID("C")
-	base := func() *sim.Options {
-		o := sim.DefaultOptions(kernels.UVE)
-		return &o
-	}
-	job := func(o *sim.Options) Job { return Job{Kernel: k, Variant: kernels.UVE, Size: 32, Opts: o} }
-	ref := keyOf(job(base()))
-
-	plan := fault.DefaultPlan(3)
-	mutations := map[string]func(o *sim.Options){
-		"SkipCheck":    func(o *sim.Options) { o.SkipCheck = true },
-		"Sanitize":     func(o *sim.Options) { o.Sanitize = sim.SanitizeOn },
-		"SanitizeAuto": func(o *sim.Options) { o.Sanitize = sim.SanitizeAuto },
-		"HashMem":      func(o *sim.Options) { o.HashMem = true },
-		"Watchdog":     func(o *sim.Options) { o.Watchdog = 12345 },
-		"MaxCycles":    func(o *sim.Options) { o.MaxCycles = 99999 },
-		"Faults":       func(o *sim.Options) { o.Faults = &plan },
-		"Trace":        func(o *sim.Options) { o.Trace = trace.NewCollector(8, 0) },
-		"Core":         func(o *sim.Options) { o.Core.ROBSize++ },
-		"Eng":          func(o *sim.Options) { o.Eng.FIFODepth++ },
-		"Fidelity":     func(o *sim.Options) { o.Fidelity = sim.Functional },
-	}
-	for name, mut := range mutations {
-		o := base()
-		mut(o)
-		if keyOf(job(o)) == ref {
-			t.Errorf("Options.%s does not separate memo keys", name)
-		}
-	}
-
-	// Equal fault plans behind distinct pointers must share a key.
-	pa, pb := fault.DefaultPlan(3), fault.DefaultPlan(3)
-	oa, ob := base(), base()
-	oa.Faults, ob.Faults = &pa, &pb
-	if keyOf(job(oa)) != keyOf(job(ob)) {
-		t.Error("equal fault plans behind different pointers got different keys")
-	}
-}
 
 // TestRunnerSnapshotsOptionsAtSubmit: mutating a caller-owned plan after
 // RunAll must neither corrupt the memoized result nor let a re-submission

@@ -4,59 +4,26 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"repro/internal/cpu"
-	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// jobConfigFP is the cross-process-stable projection of configFP: the same
-// field coverage discipline (every sim.Options field that changes what a
-// simulation computes or measures), but with the in-process trace recorder
-// identity reduced to presence — a pointer is meaningless across processes,
-// while "was this run traced" still separates result payloads that carry
-// stall summaries from ones that do not. TestFingerprintCoversConfigFP
-// cross-checks this struct's coverage against configFP field by field.
-type jobConfigFP struct {
-	Variant   string // resolved variant spelling (defensive: also implied by the program bytes)
-	Size      int    // resolved problem size (likewise)
-	Core      cpu.Config
-	Hier      mem.HierarchyConfig
-	Eng       engine.Config // ForceLevel hashes as nil-flag + pointee
-	SkipCheck bool
-	Sanitize  int
-	HashMem   bool
-	Watchdog  int64
-	MaxCycles int64
-	HasFaults bool
-	Faults    fault.Plan
-	Traced    bool
-	Fidelity  int
-}
-
 // FingerprintJob returns the job's content-addressed identity: the SHA-256
 // digest of the built program's canonical wire encoding (instructions,
-// argument registers, buffer extents) concatenated with the canonical hash
-// of the machine/sim configuration. The kernel's *name* is not an input —
-// two jobs that build byte-identical programs under equal configurations
-// fingerprint equal, which is exactly the key the persistent result store
-// wants: results survive kernel renames and deduplicate aliases.
+// argument registers, buffer extents) concatenated with configHash of the
+// resolved variant, size and options — the hash the in-process memo key
+// uses too. The kernel's *name* is not an input — two jobs that build
+// byte-identical programs under equal configurations fingerprint equal,
+// which is exactly the key the persistent result store wants: results
+// survive kernel renames and deduplicate aliases.
 //
 // Building the program is required to hash it; the build is hermetic
 // (fresh hierarchy) and discarded, so FingerprintJob never perturbs the
 // runner's memo table. A size of 0 resolves to the kernel's DefaultSize,
 // matching what execution would run.
 func FingerprintJob(j Job) (wire.Hash, error) {
-	var o sim.Options
-	if j.Opts != nil {
-		o = j.Opts.Clone()
-	} else {
-		o = sim.DefaultOptions(j.Variant)
-	}
-
+	o := j.options()
 	size := j.Size
 	if size == 0 && j.Kernel != nil {
 		size = j.Kernel.DefaultSize
@@ -77,26 +44,11 @@ func FingerprintJob(j Job) (wire.Hash, error) {
 	if err != nil {
 		return wire.Hash{}, fmt.Errorf("bench: fingerprint: %s/%s n=%d: %w", j.id(), j.Variant, size, err)
 	}
-
-	fp := jobConfigFP{
-		Variant: j.Variant.String(), Size: size,
-		Core: o.Core, Hier: o.Hier, Eng: o.Eng,
-		SkipCheck: o.SkipCheck, Sanitize: int(o.Sanitize), HashMem: o.HashMem,
-		Watchdog: o.Watchdog, MaxCycles: o.MaxCycles,
-		Traced: o.Trace != nil, Fidelity: int(o.Fidelity),
-	}
-	if o.Faults != nil {
-		fp.HasFaults = true
-		fp.Faults = *o.Faults
-	}
-	cfgHash, err := wire.HashConfig("bench.job", fp)
-	if err != nil {
-		return wire.Hash{}, fmt.Errorf("bench: fingerprint: %s/%s n=%d: %w", j.id(), j.Variant, size, err)
-	}
+	cfg := configHash(j.Variant, size, o)
 
 	d := sha256.New()
 	d.Write(unitBytes)
-	d.Write(cfgHash[:])
+	d.Write(cfg[:])
 	var out wire.Hash
 	d.Sum(out[:0])
 	return out, nil
