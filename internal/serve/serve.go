@@ -9,8 +9,9 @@
 // matrix receive byte-identical reports, across workers, processes and
 // daemon restarts.
 //
-// Execution is a bounded worker pool over bench.Runner (in-process memo)
-// with per-client token-bucket rate limits, per-job timeouts and
+// Execution is a bounded worker pool over bench.Exec, below two tiers that
+// answer repeat jobs: the store and an in-process singleflight. It adds
+// per-client token-bucket rate limits, per-job timeouts and
 // cancellation via uve-style contexts, streamed NDJSON progress for
 // traced jobs, and graceful drain: in-flight jobs finish, queued and new
 // jobs are rejected with a retriable status.
@@ -84,7 +85,10 @@ const (
 
 // Stats is the /v1/stats payload.
 type Stats struct {
-	Store  store.Stats       `json:"store"`
+	Store store.Stats `json:"store"`
+	// Runner counts the simulations the server executed, as both
+	// submitted and simulated. MemoHits stays 0: the singleflight and the
+	// store answer every repeat job, and the store section counts those.
 	Runner bench.RunnerStats `json:"runner"`
 	// StoreHits/StoreMisses duplicate the store section at the top level —
 	// the serve-smoke greps for these exact names.
@@ -96,8 +100,8 @@ type Stats struct {
 }
 
 // execution is one unique simulation in flight or completed: jobs with
-// equal fingerprints share one execution (server-level singleflight on
-// top of the runner's memo). done is closed after payload/err are final.
+// equal fingerprints share one execution (the server's singleflight).
+// done is closed after payload/err are final.
 type execution struct {
 	key      wire.Hash
 	done     chan struct{}
@@ -124,10 +128,11 @@ type job struct {
 // Server is the service core, independent of HTTP (http.go adapts it).
 type Server struct {
 	cfg   Config
-	runr  *bench.Runner
 	queue chan *execution
 	wg    sync.WaitGroup // worker goroutines
 	limit *limiter
+
+	executed atomic.Int64 // executions started by workers
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -151,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		runr:  bench.NewRunner(cfg.Workers),
 		queue: make(chan *execution, cfg.QueueLen),
 		limit: newLimiter(cfg.Rate, cfg.Burst),
 		jobs:  make(map[string]*job),
@@ -171,8 +175,9 @@ func (s *Server) Stats() Stats {
 	draining := s.draining
 	s.mu.Unlock()
 	st := s.cfg.Store.Stats()
+	n := int(s.executed.Load())
 	return Stats{
-		Store: st, Runner: s.runr.Stats(),
+		Store: st, Runner: bench.RunnerStats{Submitted: n, Simulated: n},
 		StoreHits: st.Hits, StoreMisses: st.Misses,
 		Jobs: jobs, Draining: draining,
 		RateLimited: s.limit.rejected(),
@@ -320,38 +325,33 @@ func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec J
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	bj.Ctx = ctx
 	e.running.Store(true)
+	s.executed.Add(1)
 
-	res, err := s.runr.Run(bj)
+	res, err := bench.Exec(ctx, bj)
+	var payload []byte
+	if err == nil {
+		doc := report.New("uveserve")
+		doc.Serve = &report.Serve{Result: report.FromResult(res, bj.Opts.Fidelity)}
+		if e.progress != nil {
+			doc.Serve.Result.Stalls, doc.Serve.Result.Drain = e.progress.breakdown()
+		}
+		payload, err = doc.Marshal()
+	}
+	if err == nil {
+		// Persisting is best-effort: a full disk costs future hit-rate, not
+		// this job's result.
+		_ = s.cfg.Store.Put(e.key, payload)
+	}
+	// Unregister only now: a submission that no longer finds the
+	// execution finds its payload in the store. A failed or canceled
+	// execution is never persisted, so resubmitting it re-executes.
 	s.mu.Lock()
 	delete(s.execs, e.key)
 	s.mu.Unlock()
-	if err != nil {
-		var ce *sim.CanceledError
-		e.canceled = errors.As(err, &ce)
-		e.err = err
-		close(e.done)
-		return
-	}
-
-	doc := report.New("uveserve")
-	doc.Serve = &report.Serve{Result: report.FromResult(res, bj.Opts.Fidelity)}
-	if e.progress != nil {
-		stalls, drain := e.progress.breakdown()
-		doc.Serve.Result.Stalls = stalls
-		doc.Serve.Result.Drain = drain
-	}
-	payload, err := doc.Marshal()
-	if err != nil {
-		e.err = err
-		close(e.done)
-		return
-	}
-	// Persisting is best-effort: a full disk costs future hit-rate, not
-	// this job's result.
-	_ = s.cfg.Store.Put(e.key, payload)
-	e.payload = payload
+	var ce *sim.CanceledError
+	e.canceled = errors.As(err, &ce)
+	e.payload, e.err = payload, err
 	close(e.done)
 }
 
@@ -471,8 +471,8 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, bool) {
 }
 
 // Cancel aborts a job's execution (all jobs sharing the fingerprint see
-// the cancellation; the runner evicts the memo entry so a resubmission
-// re-executes).
+// the cancellation; a canceled execution is never persisted, so a
+// resubmission re-executes).
 func (s *Server) Cancel(id string) bool {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Serve smoke: boots the uveserve daemon against an empty store, has two
 # concurrent clients submit the same kernel x variant x size matrix, and
-# asserts every client got byte-identical report documents. The daemon is
-# then SIGTERMed (clean drain must exit 0) and restarted over the same
-# store directory; the resubmitted matrix must be served from disk with a
-# positive hit rate, byte-identical to the first boot's reports.
+# asserts every client got byte-identical report documents from exactly one
+# execution per matrix cell. The daemon is then SIGTERMed (clean drain must
+# exit 0) and restarted over the same store directory; the resubmitted
+# matrix must be served from disk with a positive hit rate and no
+# execution, byte-identical to the first boot's reports.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,6 +62,15 @@ submit_matrix() {
         "http://$addr/v1/jobs?wait=1" > "$2"
 }
 
+# require_simulated <n>: the daemon has run exactly n executions.
+require_simulated() {
+    sims=$(curl -sS -f "http://$addr/v1/stats" | jq -r .runner.simulated)
+    if [ "$sims" -ne "$1" ]; then
+        echo "servesmoke: runner.simulated = $sims, want $1" >&2
+        exit 1
+    fi
+}
+
 # fetch_reports <submit-response> <outdir>: pull the raw report bytes for
 # each job, in matrix order.
 fetch_reports() {
@@ -85,6 +95,7 @@ wait "$apid"
 fetch_reports "$dir/alice.json" "$dir/reports-alice"
 fetch_reports "$dir/bob.json" "$dir/reports-bob"
 diff -r "$dir/reports-alice" "$dir/reports-bob"
+require_simulated 3 # one per matrix cell: repeats join or hit the store
 
 # Leave one simulation in flight, then SIGTERM: the drain must let it
 # finish and still exit cleanly.
@@ -99,6 +110,7 @@ submit_matrix carol "$dir/carol.json"
 [ "$(jq -r '[.jobs[].from_store] | unique | .[]' "$dir/carol.json")" = "true" ]
 fetch_reports "$dir/carol.json" "$dir/reports-carol"
 diff -r "$dir/reports-alice" "$dir/reports-carol"
+require_simulated 0
 hits=$(curl -sS -f "http://$addr/v1/stats" | jq -r .store_hits)
 if [ "$hits" -le 0 ]; then
     echo "servesmoke: restart store_hits = $hits, want > 0" >&2
