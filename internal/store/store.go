@@ -127,7 +127,9 @@ func decodeEntry(key wire.Hash, b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("truncated payload length")
 	}
 	b = b[n:]
-	if uint64(len(b)) != plen+sha256.Size {
+	// Compare against the bytes that remain, never plen+sha256.Size: a
+	// length near 2^64 would wrap that sum onto a short file's size.
+	if len(b) < sha256.Size || plen != uint64(len(b)-sha256.Size) {
 		return nil, fmt.Errorf("payload length %d does not match file size", plen)
 	}
 	payload := b[:plen]
