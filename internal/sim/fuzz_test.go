@@ -25,10 +25,12 @@ func FuzzTierDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ki, vi uint8, rawSize uint16) {
 		k := kernels.All[int(ki)%len(kernels.All)]
 		v := []kernels.Variant{kernels.UVE, kernels.SVE, kernels.NEON}[int(vi)%3]
-		// Bound the cell so the cycle-tier cross-check stays cheap, and
-		// snap it onto the kernel's structural grid — builders reject
-		// off-grid sizes (GEMM's lane blocking) instead of rounding.
-		size := bench.QuantizeSize(k, 16+int(rawSize)%512)
+		// Bound the cell by the kernel's paper size (and by 527) so the
+		// cycle-tier cross-check stays cheap: IRSmk's 3-D grid grows as
+		// the cube of its edge. Then snap it onto the kernel's structural
+		// grid — builders reject off-grid sizes (GEMM's lane blocking)
+		// instead of rounding.
+		size := bench.QuantizeSize(k, 16+int(rawSize)%min(512, k.DefaultSize-15))
 		fn := runTier(t, k, v, size, sim.Functional)
 		cyc := runTier(t, k, v, size, sim.Cycle)
 		if fn.MemHash != cyc.MemHash {
