@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsintSoundness$$' -fuzztime 5s ./internal/absint
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 5s ./internal/store
 
 # One Fig 8 regeneration through the benchmark harness — cheap proof that
 # the full kernel × machine matrix still assembles, runs and validates.

@@ -34,6 +34,7 @@ go test -run '^$' -fuzz '^FuzzClosedFormWalk$' -fuzztime 5s ./internal/cost
 go test -run '^$' -fuzz '^FuzzAbsintSoundness$' -fuzztime 5s ./internal/absint
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzWireRoundTrip$' -fuzztime 5s ./internal/wire
+go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 5s ./internal/store
 go test -run '^$' -bench '^BenchmarkFig8$' -benchtime 1x .
 # Execution-tier smoke: the functional/cycle differential oracle and the
 # event-skip bit-equivalence suite race-detected, a short differential
