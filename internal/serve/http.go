@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,7 +15,8 @@ import (
 //	                             blocks until settled, ?cancel_on_disconnect=1
 //	                             cancels execution if the waiting client goes
 //	                             away
-//	GET  /v1/jobs/{id}           job status (+ report when done)
+//	GET  /v1/jobs/{id}           job status (+ report when done); 410 once
+//	                             the job is evicted, 404 if never issued
 //	GET  /v1/jobs/{id}/report    raw report document bytes (the exact stored
 //	                             payload — byte-identical across clients)
 //	GET  /v1/jobs/{id}/stream    NDJSON progress snapshots, then the final
@@ -91,6 +92,13 @@ type submitBody struct {
 	Jobs []JobSpec `json:"jobs"`
 }
 
+// Request bounds, checked before any spec is validated. The largest batch
+// in use, the benchmark's cold fill, has 114 specs.
+const (
+	maxBodyBytes = 1 << 20
+	maxBatch     = 1024
+)
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.limit.allow(clientKey(r), time.Now()) {
 		writeErr(w, http.StatusTooManyRequests, true, "rate limit exceeded")
@@ -101,8 +109,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		writeErr(w, http.StatusBadRequest, false, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&raw); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, false, "bad request body: %v", err)
 		return
 	}
 	var body submitBody
@@ -119,57 +131,76 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, false, "empty job list")
 		return
 	}
+	if len(body.Jobs) > maxBatch {
+		writeErr(w, http.StatusBadRequest, false, "batch of %d jobs, over %d", len(body.Jobs), maxBatch)
+		return
+	}
 
-	ids := make([]string, 0, len(body.Jobs))
+	// Validate the whole batch before registering any of it.
+	ps := make([]prepared, len(body.Jobs))
 	for i, spec := range body.Jobs {
-		id, err := s.Submit(spec)
-		if err != nil {
+		var err error
+		if ps[i], err = s.prepare(spec); err != nil {
 			writeErr(w, http.StatusBadRequest, false, "job %d: %v", i, err)
 			return
 		}
-		ids = append(ids, id)
+	}
+	ids := make([]string, len(ps))
+	execs := make([]*execution, len(ps))
+	for i, p := range ps {
+		ids[i], execs[i] = s.register(p)
 	}
 
 	wait := r.URL.Query().Get("wait") != ""
 	cancelOnDisconnect := r.URL.Query().Get("cancel_on_disconnect") != ""
-	out := make([]jobJSON, 0, len(ids))
-	for _, id := range ids {
-		var st JobStatus
+	out := make([]jobJSON, len(ids))
+	for i, e := range execs {
 		if wait {
-			st, _ = s.Wait(r.Context(), id)
-			if r.Context().Err() != nil && cancelOnDisconnect &&
-				st.State != StateDone && st.State != StateFailed {
-				// The waiting client is gone and asked for its jobs to die
-				// with it: cancel and report the final state.
-				s.Cancel(id)
-				st, _ = s.Wait(context.Background(), id)
+			select {
+			case <-e.done:
+			case <-r.Context().Done():
+				if cancelOnDisconnect {
+					// The waiting client is gone and asked for its jobs to
+					// die with it: cancel and report the final state.
+					e.cancel()
+					<-e.done
+				}
 			}
-		} else {
-			st, _ = s.Status(id)
 		}
-		out = append(out, toJSON(st))
+		out[i] = toJSON(e.status(ids[i]))
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []jobJSON `json:"jobs"`
 	}{out})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Status(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, false, "unknown job %q", r.PathValue("id"))
-		return
+// requested resolves the request's job ID, answering 410 Gone for an evicted
+// job and 404 for one never issued; e is nil once it has answered.
+func (s *Server) requested(w http.ResponseWriter, r *http.Request) (id string, e *execution) {
+	id = r.PathValue("id")
+	e, gone := s.lookup(id)
+	switch {
+	case gone:
+		writeErr(w, http.StatusGone, false, "job %q was evicted", id)
+	case e == nil:
+		writeErr(w, http.StatusNotFound, false, "unknown job %q", id)
 	}
-	writeJSON(w, http.StatusOK, toJSON(st))
+	return id, e
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	if id, e := s.requested(w, r); e != nil {
+		writeJSON(w, http.StatusOK, toJSON(e.status(id)))
+	}
 }
 
 // handleReport serves the raw stored payload — the byte-identity surface.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Status(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, false, "unknown job %q", r.PathValue("id"))
+	id, e := s.requested(w, r)
+	if e == nil {
 		return
 	}
+	st := e.status(id)
 	if st.State != StateDone {
 		writeErr(w, http.StatusConflict, st.State == StateQueued || st.State == StateRunning,
 			"job %s is %s, not done", st.ID, st.State)
@@ -184,16 +215,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // (traced jobs only — untraced jobs go straight to the final line), then
 // one final line with the settled status and report.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var e *execution
-	if ok {
-		e = j.exec
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, false, "unknown job %q", id)
+	id, e := s.requested(w, r)
+	if e == nil {
 		return
 	}
 
@@ -221,40 +244,34 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if e != nil {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-	poll:
-		for {
-			select {
-			case <-e.done:
-				break poll
-			case <-r.Context().Done():
-				if r.URL.Query().Get("cancel_on_disconnect") != "" {
-					s.Cancel(id)
-				}
-				return
-			case <-ticker.C:
-				if e.progress != nil {
-					snap := e.progress.snapshot()
-					emit(streamLine{Progress: &snap})
-				}
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+poll:
+	for {
+		select {
+		case <-e.done:
+			break poll
+		case <-r.Context().Done():
+			if r.URL.Query().Get("cancel_on_disconnect") != "" {
+				e.cancel()
+			}
+			return
+		case <-ticker.C:
+			if e.progress != nil {
+				snap := e.progress.snapshot()
+				emit(streamLine{Progress: &snap})
 			}
 		}
 	}
-	st, _ := s.Status(id)
-	fin := toJSON(st)
+	fin := toJSON(e.status(id))
 	emit(streamLine{Final: &fin})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.Cancel(id) {
-		writeErr(w, http.StatusNotFound, false, "unknown job %q", id)
-		return
+	if id, e := s.requested(w, r); e != nil {
+		e.cancel()
+		writeJSON(w, http.StatusOK, toJSON(e.status(id)))
 	}
-	st, _ := s.Status(id)
-	writeJSON(w, http.StatusOK, toJSON(st))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

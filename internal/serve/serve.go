@@ -21,6 +21,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,31 +101,64 @@ type Stats struct {
 	RateLimited int  `json:"rate_limited"`
 }
 
-// execution is one unique simulation in flight or completed: jobs with
-// equal fingerprints share one execution (the server's singleflight).
-// done is closed after payload/err are final.
+// execution is what a job resolves to: a queued, running or finished
+// simulation, which jobs with equal fingerprints share (the singleflight),
+// or an answer settled at submission (store hit, store error, refusal).
+// settle writes state, payload and errMsg, then closes done.
 type execution struct {
 	key      wire.Hash
 	done     chan struct{}
 	run      func() // set before enqueue; invoked by one worker
 	running  atomic.Bool
-	payload  []byte // marshaled report.Document; nil on error
-	err      error
-	canceled bool
 	progress *progress // non-nil for traced jobs
 	cancel   context.CancelFunc
-}
 
-// job is one client submission.
-type job struct {
-	id    string
-	spec  JobSpec
-	state JobState
-	exec  *execution // nil for rejected jobs
-	// fromStore marks jobs satisfied without simulating.
-	fromStore bool
+	state     JobState
+	fromStore bool   // Store.Get answered it
+	payload   []byte // marshaled report.Document; nil unless done
 	errMsg    string
 }
+
+func (e *execution) settle(state JobState, payload []byte, errMsg string) {
+	e.state, e.payload, e.errMsg = state, payload, errMsg
+	close(e.done)
+}
+
+// settled is an execution settled at submission. The only one settled
+// done is a store hit.
+func settled(state JobState, payload []byte, errMsg string) *execution {
+	e := &execution{done: make(chan struct{}), cancel: func() {}, fromStore: state == StateDone}
+	e.settle(state, payload, errMsg)
+	return e
+}
+
+func (e *execution) isSettled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// status snapshots the job id that resolved to e.
+func (e *execution) status(id string) JobStatus {
+	switch {
+	case e.isSettled():
+		return JobStatus{ID: id, State: e.state, FromStore: e.fromStore, Error: e.errMsg,
+			Retriable: e.state == StateRejected, Payload: e.payload}
+	case e.running.Load():
+		return JobStatus{ID: id, State: StateRunning}
+	default:
+		return JobStatus{ID: id, State: StateQueued}
+	}
+}
+
+// keepJobs is how many of the newest job IDs stay answerable. Every
+// keepJobs submissions, register evicts the settled jobs older than that,
+// so the table holds at most 2*keepJobs settled jobs at a constant
+// average cost per submission. An unsettled job is never evicted.
+const keepJobs = 16384
 
 // Server is the service core, independent of HTTP (http.go adapts it).
 type Server struct {
@@ -135,9 +170,9 @@ type Server struct {
 	executed atomic.Int64 // executions started by workers
 
 	mu       sync.Mutex
-	jobs     map[string]*job
+	jobs     map[int]*execution // job number -> what it resolved to
 	execs    map[wire.Hash]*execution
-	nextID   int
+	nextID   int // the last job number issued
 	draining bool
 	inflight sync.WaitGroup // executions accepted into the queue
 }
@@ -158,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		queue: make(chan *execution, cfg.QueueLen),
 		limit: newLimiter(cfg.Rate, cfg.Burst),
-		jobs:  make(map[string]*job),
+		jobs:  make(map[int]*execution),
 		execs: make(map[wire.Hash]*execution),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -168,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters. Jobs counts the retained jobs.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	jobs := len(s.jobs)
@@ -184,18 +219,32 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// errRetriable marks submission-time refusals the client should retry
-// against a healthy (or restarted) daemon.
-var errRetriable = errors.New("retriable")
-
 // Submit registers one job. The returned job ID is immediately pollable;
-// execution proceeds asynchronously. A store hit completes the job
-// without queueing anything. Submission fails with an error wrapping
-// errRetriable when the server is draining or the queue is full.
+// execution proceeds asynchronously. A store hit, a store error and a
+// refusal (draining server, full queue) settle the job at submission; only
+// an invalid spec fails Submit.
 func (s *Server) Submit(spec JobSpec) (string, error) {
-	bj, err := s.benchJob(spec)
+	p, err := s.prepare(spec)
 	if err != nil {
 		return "", err
+	}
+	id, _ := s.register(p)
+	return id, nil
+}
+
+// prepared is a validated, fingerprinted spec, ready to register.
+type prepared struct {
+	spec JobSpec
+	job  bench.Job
+	key  wire.Hash
+	prog *progress // non-nil for traced jobs
+}
+
+// prepare validates and fingerprints a spec without registering anything.
+func (s *Server) prepare(spec JobSpec) (prepared, error) {
+	bj, err := s.benchJob(spec)
+	if err != nil {
+		return prepared{}, err
 	}
 	// A traced job carries its progress recorder in the options BEFORE
 	// fingerprinting, so the fingerprint's Traced axis (and the payload's
@@ -206,100 +255,91 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		bj.Opts.Trace = prog
 	}
 	key, err := bench.FingerprintJob(bj)
-	if err != nil {
-		return "", err
-	}
-
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	j := &job{id: id, spec: spec}
-	s.jobs[id] = j
-
-	if s.draining {
-		j.state = StateRejected
-		j.errMsg = "server draining"
-		s.mu.Unlock()
-		return id, nil
-	}
-	if e, ok := s.execs[key]; ok {
-		// Singleflight: join the in-flight (or completed) execution.
-		j.exec = e
-		j.state = StateQueued
-		s.mu.Unlock()
-		return id, nil
-	}
-	s.mu.Unlock()
-
-	// Store lookup outside the server lock (it does disk I/O).
-	payload, hit, err := s.cfg.Store.Get(key)
-	if err != nil {
-		s.mu.Lock()
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.mu.Unlock()
-		return id, nil
-	}
-	if hit {
-		e := &execution{key: key, done: make(chan struct{}), payload: payload}
-		close(e.done)
-		s.mu.Lock()
-		j.exec = e
-		j.state = StateDone
-		j.fromStore = true
-		s.mu.Unlock()
-		return id, nil
-	}
-
-	e := &execution{key: key, done: make(chan struct{}), progress: prog}
-	ctx, cancel := context.WithCancel(context.Background())
-	e.cancel = cancel
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		cancel()
-		s.reject(j, "server draining")
-		return id, nil
-	}
-	if prev, ok := s.execs[key]; ok {
-		// Lost a submit race for the same fingerprint; join the winner.
-		s.mu.Unlock()
-		cancel()
-		s.mu.Lock()
-		j.exec = prev
-		j.state = StateQueued
-		s.mu.Unlock()
-		return id, nil
-	}
-	s.execs[key] = e
-	j.exec = e
-	j.state = StateQueued
-	s.inflight.Add(1)
-	s.mu.Unlock()
-
-	// Arm the job's execution context now that it is committed.
-	e.run = func() { s.execute(ctx, e, bj, spec) }
-	select {
-	case s.queue <- e:
-	default:
-		// Queue full: back the registration out and reject retriably.
-		s.mu.Lock()
-		delete(s.execs, key)
-		s.mu.Unlock()
-		s.inflight.Done()
-		cancel()
-		s.reject(j, "queue full")
-	}
-	return id, nil
+	return prepared{spec: spec, job: bj, key: key, prog: prog}, err
 }
 
-func (s *Server) reject(j *job, msg string) {
+// register resolves p — to a refusal while draining, the in-flight
+// execution of its fingerprint, the store's answer, or a newly queued
+// execution — and only then issues its job ID.
+func (s *Server) register(p prepared) (string, *execution) {
 	s.mu.Lock()
-	j.state = StateRejected
-	j.errMsg = msg
-	j.exec = nil
+	e := s.joinLocked(p.key)
 	s.mu.Unlock()
+	if e == nil {
+		// Store lookup outside the server lock (it does disk I/O).
+		payload, hit, err := s.cfg.Store.Get(p.key)
+		switch {
+		case err != nil:
+			e = settled(StateFailed, nil, err.Error())
+		case hit:
+			e = settled(StateDone, payload, "")
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e == nil {
+		// A submission of the same fingerprint, or Drain, may have come
+		// in during the store lookup.
+		if e = s.joinLocked(p.key); e == nil {
+			e = s.enqueueLocked(p)
+		}
+	}
+	s.nextID++
+	s.jobs[s.nextID] = e
+	if s.nextID%keepJobs == 0 {
+		for n, old := range s.jobs {
+			if n <= s.nextID-keepJobs && old.isSettled() {
+				delete(s.jobs, n)
+			}
+		}
+	}
+	return jobID(s.nextID), e
+}
+
+// joinLocked answers a job without the store or the queue: a refusal while
+// draining, or the in-flight execution of its fingerprint. nil means
+// neither.
+func (s *Server) joinLocked(key wire.Hash) *execution {
+	if s.draining {
+		return settled(StateRejected, nil, "server draining")
+	}
+	return s.execs[key]
+}
+
+// enqueueLocked queues a new execution of p, or refuses it when the queue
+// is full. Sending under s.mu keeps Drain, which empties the queue under
+// s.mu, from missing it; a worker that takes it blocks on s.mu in execute
+// before it can finish, so the execs entry and the inflight count come
+// first.
+func (s *Server) enqueueLocked(p prepared) *execution {
+	ctx, cancel := context.WithCancel(context.Background())
+	e := &execution{key: p.key, done: make(chan struct{}), progress: p.prog, cancel: cancel}
+	e.run = func() { s.execute(ctx, e, p) }
+	select {
+	case s.queue <- e:
+		s.execs[p.key] = e
+		s.inflight.Add(1)
+	default:
+		cancel()
+		e.settle(StateRejected, nil, "queue full")
+	}
+	return e
+}
+
+func jobID(n int) string { return "job-" + strconv.Itoa(n) }
+
+// lookup resolves a job ID. e is nil when the ID was never issued or its
+// job was evicted; gone is true in the second case.
+func (s *Server) lookup(id string) (e *execution, gone bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || jobID(n) != id {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e = s.jobs[n]
+	return e, e == nil && 0 < n && n <= s.nextID
 }
 
 // worker drains the execution queue.
@@ -311,11 +351,11 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one unique simulation and finalizes its execution record.
-func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec JobSpec) {
+// execute runs one unique simulation and settles its execution.
+func (s *Server) execute(ctx context.Context, e *execution, p prepared) {
 	timeout := s.cfg.JobTimeout
-	if spec.TimeoutMS > 0 {
-		d := time.Duration(spec.TimeoutMS) * time.Millisecond
+	if p.spec.TimeoutMS > 0 {
+		d := time.Duration(p.spec.TimeoutMS) * time.Millisecond
 		if timeout == 0 || d < timeout {
 			timeout = d
 		}
@@ -328,11 +368,11 @@ func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec J
 	e.running.Store(true)
 	s.executed.Add(1)
 
-	res, err := bench.Exec(ctx, bj)
+	res, err := bench.Exec(ctx, p.job)
 	var payload []byte
 	if err == nil {
 		doc := report.New("uveserve")
-		doc.Serve = &report.Serve{Result: report.FromResult(res, bj.Opts.Fidelity)}
+		doc.Serve = &report.Serve{Result: report.FromResult(res, p.job.Opts.Fidelity)}
 		if e.progress != nil {
 			doc.Serve.Result.Stalls, doc.Serve.Result.Drain = e.progress.breakdown()
 		}
@@ -350,9 +390,14 @@ func (s *Server) execute(ctx context.Context, e *execution, bj bench.Job, spec J
 	delete(s.execs, e.key)
 	s.mu.Unlock()
 	var ce *sim.CanceledError
-	e.canceled = errors.As(err, &ce)
-	e.payload, e.err = payload, err
-	close(e.done)
+	switch {
+	case errors.As(err, &ce):
+		e.settle(StateCanceled, nil, err.Error())
+	case err != nil:
+		e.settle(StateFailed, nil, err.Error())
+	default:
+		e.settle(StateDone, payload, "")
+	}
 }
 
 // benchJob translates a spec into a bench.Job, validating every field.
@@ -406,95 +451,44 @@ type JobStatus struct {
 	Payload []byte `json:"-"`
 }
 
-// Status snapshots a job, resolving its execution's current state.
+// Status snapshots a job. An evicted job is not found.
 func (s *Server) Status(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return JobStatus{}, false
+	if e, _ := s.lookup(id); e != nil {
+		return e.status(id), true
 	}
-	st := JobStatus{ID: j.id, State: j.state, FromStore: j.fromStore, Error: j.errMsg}
-	e := j.exec
-	s.mu.Unlock()
-
-	if st.State == StateRejected {
-		st.Retriable = true
-		return st, true
-	}
-	if e == nil {
-		return st, true
-	}
-	select {
-	case <-e.done:
-		switch {
-		case e.canceled:
-			st.State = StateCanceled
-			st.Error = e.err.Error()
-		case e.err != nil:
-			st.State = StateFailed
-			st.Error = e.err.Error()
-		default:
-			st.State = StateDone
-			st.Payload = e.payload
-		}
-	default:
-		if e.running.Load() {
-			st.State = StateRunning
-		} else {
-			st.State = StateQueued
-		}
-	}
-	return st, true
+	return JobStatus{}, false
 }
 
 // Wait blocks until the job settles (or ctx is done) and returns its
 // final status.
 func (s *Server) Wait(ctx context.Context, id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var e *execution
-	if ok {
-		e = j.exec
-	}
-	s.mu.Unlock()
-	if !ok {
+	e, _ := s.lookup(id)
+	if e == nil {
 		return JobStatus{}, false
 	}
-	if e != nil {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-		}
+	select {
+	case <-e.done:
+	case <-ctx.Done():
 	}
-	return s.Status(id)
+	return e.status(id), true
 }
 
 // Cancel aborts a job's execution (all jobs sharing the fingerprint see
 // the cancellation; a canceled execution is never persisted, so a
-// resubmission re-executes).
+// resubmission re-executes). Canceling a settled job does nothing.
 func (s *Server) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var e *execution
-	if ok {
-		e = j.exec
+	e, _ := s.lookup(id)
+	if e != nil {
+		e.cancel()
 	}
-	s.mu.Unlock()
-	if !ok || e == nil || e.cancel == nil {
-		return ok
-	}
-	e.cancel()
-	return true
+	return e != nil
 }
 
 // Progress returns the progress tracker for a traced, executing job
 // (nil when the job is untraced, unknown, or already complete-from-store).
 func (s *Server) Progress(id string) *progress {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok && j.exec != nil {
-		return j.exec.progress
+	if e, _ := s.lookup(id); e != nil {
+		return e.progress
 	}
 	return nil
 }
@@ -507,10 +501,9 @@ func (s *Server) Draining() bool {
 }
 
 // Drain gracefully stops the server: new submissions are rejected
-// retriably, queued-but-unstarted executions are canceled and their jobs
-// rejected, in-flight simulations run to completion (bounded by ctx —
-// when it expires their contexts are canceled too). Returns when every
-// worker has exited.
+// retriably, queued-but-unstarted executions are rejected, in-flight
+// simulations run to completion (bounded by ctx — when it expires their
+// contexts are canceled too). Returns when every worker has exited.
 func (s *Server) Drain(ctx context.Context) {
 	s.mu.Lock()
 	if s.draining {
@@ -519,32 +512,22 @@ func (s *Server) Drain(ctx context.Context) {
 		return
 	}
 	s.draining = true
-	s.mu.Unlock()
-
-	// Reject everything still sitting in the queue: its jobs flip to
-	// rejected/retriable and their executions end canceled.
+	// Reject everything still sitting in the queue, with every job that
+	// joined it. Submissions queue under s.mu, so none can follow.
+queued:
 	for {
 		select {
 		case e := <-s.queue:
-			s.mu.Lock()
 			delete(s.execs, e.key)
-			e.err = fmt.Errorf("serve: %w: server draining before execution", errRetriable)
-			e.canceled = true
-			for _, j := range s.jobs {
-				if j.exec == e {
-					j.state = StateRejected
-					j.errMsg = "server draining"
-					j.exec = nil
-				}
-			}
-			s.mu.Unlock()
-			close(e.done)
+			e.cancel()
+			e.settle(StateRejected, nil, "server draining")
 			s.inflight.Done()
 		default:
-			goto drained
+			break queued
 		}
 	}
-drained:
+	s.mu.Unlock()
+
 	// In-flight executions finish on their own — unless the drain context
 	// expires first, in which case they are canceled.
 	waitDone := make(chan struct{})
@@ -557,9 +540,7 @@ drained:
 	case <-ctx.Done():
 		s.mu.Lock()
 		for _, e := range s.execs {
-			if e.cancel != nil {
-				e.cancel()
-			}
+			e.cancel()
 		}
 		s.mu.Unlock()
 		<-waitDone

@@ -529,6 +529,37 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 
+	// Whole-request rejections register nothing, not even a batch's valid
+	// specs: the body and batch are bounded, and every spec is validated
+	// before any is registered.
+	valid := serve.JobSpec{Kernel: "C", Variant: "uve", Size: 256}
+	copies := func(n int) []serve.JobSpec {
+		specs := make([]serve.JobSpec, n)
+		for i := range specs {
+			specs[i] = valid
+		}
+		return specs
+	}
+	for _, tc := range []struct {
+		name   string
+		specs  []serve.JobSpec
+		status int
+	}{
+		{"mixed batch", []serve.JobSpec{valid, {Kernel: "ZZZ", Variant: "uve"}}, http.StatusBadRequest},
+		{"oversized body", copies(40001), http.StatusRequestEntityTooLarge},
+		{"overlong batch", copies(1025), http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, _, raw := postJobs(t, ts.URL, "bad", tc.specs, "")
+			if status != tc.status {
+				t.Fatalf("status %d, want %d: %.200s", status, tc.status, raw)
+			}
+			if st := getStats(t, ts.URL); st.Jobs != 0 || st.Runner.Simulated != 0 {
+				t.Errorf("after the rejection: jobs=%d simulated=%d, want 0 and 0", st.Jobs, st.Runner.Simulated)
+			}
+		})
+	}
+
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("not json"))
 	if err != nil {
 		t.Fatalf("POST garbage: %v", err)
