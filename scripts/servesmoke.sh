@@ -97,6 +97,25 @@ fetch_reports "$dir/bob.json" "$dir/reports-bob"
 diff -r "$dir/reports-alice" "$dir/reports-bob"
 require_simulated 3 # one per matrix cell: repeats join or hit the store
 
+# require_refused <status> <body-file>: posting the body answers <status>
+# and registers no job.
+require_refused() {
+    before=$(curl -sS -f "http://$addr/v1/stats" | jq -r .jobs)
+    code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary "@$2" "http://$addr/v1/jobs")
+    after=$(curl -sS -f "http://$addr/v1/stats" | jq -r .jobs)
+    if [ "$code" -ne "$1" ] || [ "$after" -ne "$before" ]; then
+        echo "servesmoke: posting $2 answered $code with jobs $before -> $after, want $1 and no new job" >&2
+        exit 1
+    fi
+}
+
+# A batch is bounded and validated before any of it is registered: a
+# valid spec beside an invalid one answers 400, a body over 1 MiB 413.
+echo '{"jobs":[{"kernel":"C","variant":"uve","size":256},{"kernel":"ZZZ","variant":"uve"}]}' > "$dir/mixed.json"
+jq -c -n '{jobs: [range(40001) | {kernel: "C", variant: "uve", size: 256}]}' > "$dir/big.json"
+require_refused 400 "$dir/mixed.json"
+require_refused 413 "$dir/big.json"
+
 # Leave one simulation in flight, then SIGTERM: the drain must let it
 # finish and still exit cleanly.
 curl -sS -f -d '{"kernel":"C","variant":"uve","size":65536}' \
