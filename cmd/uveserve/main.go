@@ -17,7 +17,8 @@
 //	POST /v1/jobs           submit a spec or {"jobs": [...]}; ?wait=1 blocks
 //	GET  /v1/jobs/{id}      status; /report raw payload; /stream NDJSON progress
 //	POST /v1/jobs/{id}/cancel
-//	GET  /v1/stats          store hit/miss, runner memo, rate-limit counters
+//	GET  /v1/stats          store hit/miss, executions, fingerprint builds,
+//	                        rate-limit counters
 //	GET  /v1/healthz        ok | draining
 //
 // SIGTERM/SIGINT drains gracefully: in-flight simulations finish (bounded

@@ -21,6 +21,7 @@ var KCovariance = register(&Kernel{
 	Streams: 8, Loops: 3, Pattern: "3D+static-mod",
 	SVEVectorized: false,
 	DefaultSize:   48,
+	MaxSize:       640,
 	Build:         buildCovariance,
 })
 

@@ -24,6 +24,7 @@ var KFloyd = register(&Kernel{
 	Streams: 4, Loops: 1, Pattern: "2D",
 	SVEVectorized: false,
 	DefaultSize:   64,
+	MaxSize:       83,
 	Build:         buildFloyd,
 })
 

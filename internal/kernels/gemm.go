@@ -138,6 +138,7 @@ var KGemm = register(&Kernel{
 	Streams: 4, Loops: 3, Pattern: "1-4D",
 	SVEVectorized: true,
 	DefaultSize:   96,
+	MaxSize:       544,
 	Build:         buildGemm,
 })
 
@@ -175,6 +176,7 @@ var K3mm = register(&Kernel{
 	Streams: 9, Loops: 3, Pattern: "4D",
 	SVEVectorized: true,
 	DefaultSize:   64,
+	MaxSize:       352,
 	Build:         build3mm,
 })
 

@@ -20,6 +20,7 @@ var KHaccmk = register(&Kernel{
 	Streams: 3, Loops: 1, Pattern: "1D",
 	SVEVectorized: true,
 	DefaultSize:   256,
+	MaxSize:       6372,
 	Build:         buildHaccmk,
 })
 
@@ -184,6 +185,7 @@ var KKnn = register(&Kernel{
 	Streams: 4, Loops: 1, Pattern: "2D+indirect-mod",
 	SVEVectorized: true,
 	DefaultSize:   512,
+	MaxSize:       74_816,
 	Build:         buildKnn,
 })
 

@@ -21,6 +21,7 @@ var KIrsmk = register(&Kernel{
 	Streams: 20, Loops: 1, Pattern: "3D",
 	SVEVectorized: true,
 	DefaultSize:   24,
+	MaxSize:       40,
 	Build:         buildIrsmk,
 })
 

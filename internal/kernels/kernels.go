@@ -149,6 +149,11 @@ type Kernel struct {
 	SVEVectorized bool
 	// DefaultSize is the problem-size parameter used by the figure harness.
 	DefaultSize int
+	// MaxSize is the largest size uveserve admits: the largest whose build,
+	// verification and wire encoding, on the kernel's costliest variant,
+	// allocate at most 64 MB and take at most 0.5 s on a 2-core host. A
+	// request therefore cannot make the service build an unbounded kernel.
+	MaxSize int
 	// Build constructs the kernel against h for the given variant and
 	// problem size.
 	Build func(h *mem.Hierarchy, v Variant, size int) *Instance

@@ -68,6 +68,9 @@ func TestRegistryMetadata(t *testing.T) {
 		if k.Streams <= 0 || k.Loops <= 0 || k.Pattern == "" || k.DefaultSize <= 0 {
 			t.Errorf("kernel %s has incomplete metadata: %+v", k.ID, k)
 		}
+		if k.MaxSize < k.DefaultSize {
+			t.Errorf("kernel %s: MaxSize %d below DefaultSize %d", k.ID, k.MaxSize, k.DefaultSize)
+		}
 		if kernels.ByID(k.ID) != k {
 			t.Errorf("ByID(%s) lookup failed", k.ID)
 		}

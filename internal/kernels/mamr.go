@@ -160,6 +160,7 @@ var KMamr = register(&Kernel{
 	Streams: 2, Loops: 1, Pattern: "2D",
 	SVEVectorized: false,
 	DefaultSize:   192,
+	MaxSize:       2208,
 	Build:         buildMamr(mamrFull),
 })
 
@@ -168,6 +169,7 @@ var KMamrDiag = register(&Kernel{
 	Streams: 2, Loops: 1, Pattern: "2D+static-mod",
 	SVEVectorized: false,
 	DefaultSize:   192,
+	MaxSize:       2206,
 	Build:         buildMamr(mamrDiag),
 })
 
@@ -176,5 +178,6 @@ var KMamrInd = register(&Kernel{
 	Streams: 3, Loops: 1, Pattern: "2D+indirect-mod",
 	SVEVectorized: false,
 	DefaultSize:   128,
+	MaxSize:       1875,
 	Build:         buildMamr(mamrInd),
 })

@@ -27,6 +27,7 @@ var KMemcpy = register(&Kernel{
 	Streams: 2, Loops: 1, Pattern: "1D",
 	SVEVectorized: true,
 	DefaultSize:   1 << 16,
+	MaxSize:       2_105_545,
 	Build:         buildMemcpy,
 })
 
@@ -66,6 +67,7 @@ var KSaxpy = register(&Kernel{
 	Streams: 3, Loops: 1, Pattern: "1D",
 	SVEVectorized: true,
 	DefaultSize:   1 << 15,
+	MaxSize:       1_630_208,
 	Build:         buildSaxpy,
 })
 
@@ -132,6 +134,7 @@ var KStream = register(&Kernel{
 	Streams: 3, Loops: 3, Pattern: "1D",
 	SVEVectorized: true,
 	DefaultSize:   1 << 15,
+	MaxSize:       814_080,
 	Build:         buildStream,
 })
 

@@ -224,6 +224,7 @@ var KMvt = register(&Kernel{
 	Streams: 8, Loops: 2, Pattern: "2D",
 	SVEVectorized: true,
 	DefaultSize:   192,
+	MaxSize:       2192,
 	Build:         buildMvt,
 })
 
@@ -293,6 +294,7 @@ var KGemver = register(&Kernel{
 	Streams: 17, Loops: 4, Pattern: "2D",
 	SVEVectorized: true,
 	DefaultSize:   160,
+	MaxSize:       1728,
 	Build:         buildGemver,
 })
 

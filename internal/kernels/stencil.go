@@ -17,6 +17,7 @@ var KJacobi1D = register(&Kernel{
 	Streams: 8, Loops: 2, Pattern: "1D",
 	SVEVectorized: true,
 	DefaultSize:   1 << 15,
+	MaxSize:       1_352_083,
 	Build:         buildJacobi1D,
 })
 
@@ -109,6 +110,7 @@ var KJacobi2D = register(&Kernel{
 	Streams: 12, Loops: 2, Pattern: "2D",
 	SVEVectorized: true,
 	DefaultSize:   128,
+	MaxSize:       1153,
 	Build:         buildJacobi2D,
 })
 
@@ -289,6 +291,7 @@ var KSeidel = register(&Kernel{
 	Streams: 10, Loops: 1, Pattern: "2D",
 	SVEVectorized: false,
 	DefaultSize:   64,
+	MaxSize:       1739,
 	Build:         buildSeidel,
 })
 

@@ -21,6 +21,7 @@ var KTrisolv = register(&Kernel{
 	Streams: 5, Loops: 1, Pattern: "2D+static-mod",
 	SVEVectorized: true,
 	DefaultSize:   128,
+	MaxSize:       2205,
 	Build:         buildTrisolv,
 })
 

@@ -9,20 +9,28 @@ import (
 	"repro/internal/store"
 )
 
+// startServer starts a server over a fresh store, closed with the test.
+func startServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	cfg.Store = st
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 // TestEvictionBound registers one store-hit spec 2*keepJobs+1 times. The
 // table stays within 2*keepJobs jobs, the newest keepJobs IDs still answer,
 // an evicted ID answers 410 Gone and one never issued 404, and a job that
 // joined a running execution before the sweeps is still there after them.
 func TestEvictionBound(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	s, err := New(Config{Store: st, Workers: 1, QueueLen: 8})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
+	s := startServer(t, Config{Workers: 1, QueueLen: 8})
 
 	hit, err := s.prepare(JobSpec{Kernel: "C", Variant: "uve", Size: 256})
 	if err != nil {

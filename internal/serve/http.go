@@ -22,7 +22,7 @@ import (
 //	GET  /v1/jobs/{id}/stream    NDJSON progress snapshots, then the final
 //	                             status line
 //	POST /v1/jobs/{id}/cancel    abort the job's execution
-//	GET  /v1/stats               store/runner/limiter counters
+//	GET  /v1/stats               store/runner/limiter/fingerprint counters
 //	GET  /v1/healthz             {"status": "ok" | "draining"}
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -501,18 +502,24 @@ func TestStreamProgress(t *testing.T) {
 }
 
 // TestSubmitValidation rejects malformed specs with 400 and a
-// non-retriable error body.
+// non-retriable error body, registering and building nothing.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newServer(t, t.TempDir(), serve.Config{Workers: 1})
 
+	// A size over the kernel's MaxSize is refused, naming the bound.
+	bound := func(id string) string { return fmt.Sprintf("bound of %d", kernels.ByID(id).MaxSize) }
 	cases := []struct {
 		name string
 		spec serve.JobSpec
+		msg  string // in the error
 	}{
-		{"unknown kernel", serve.JobSpec{Kernel: "ZZZ", Variant: "uve"}},
-		{"unknown variant", serve.JobSpec{Kernel: "C", Variant: "avx512"}},
-		{"negative size", serve.JobSpec{Kernel: "C", Variant: "uve", Size: -1}},
-		{"functional trace", serve.JobSpec{Kernel: "C", Variant: "uve", Fidelity: "functional", Trace: true}},
+		{"unknown kernel", serve.JobSpec{Kernel: "ZZZ", Variant: "uve"}, "unknown kernel"},
+		{"unknown variant", serve.JobSpec{Kernel: "C", Variant: "avx512"}, "unknown variant"},
+		{"negative size", serve.JobSpec{Kernel: "C", Variant: "uve", Size: -1}, "invalid size"},
+		{"functional trace", serve.JobSpec{Kernel: "C", Variant: "uve", Fidelity: "functional", Trace: true}, "cannot record traces"},
+		{"K n=48", serve.JobSpec{Kernel: "K", Variant: "uve", Size: 48}, bound("K")},
+		{"S n=128", serve.JobSpec{Kernel: "S", Variant: "uve", Size: 128}, bound("S")},
+		{"C n=2^21", serve.JobSpec{Kernel: "C", Variant: "uve", Size: 1 << 21}, bound("C")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -521,10 +528,17 @@ func TestSubmitValidation(t *testing.T) {
 				t.Fatalf("status %d, want 400: %s", status, raw)
 			}
 			var apiErr struct {
-				Retriable bool `json:"retriable"`
+				Error     string `json:"error"`
+				Retriable bool   `json:"retriable"`
 			}
 			if err := json.Unmarshal(raw, &apiErr); err == nil && apiErr.Retriable {
 				t.Errorf("validation error marked retriable: %s", raw)
+			}
+			if !strings.Contains(apiErr.Error, tc.msg) {
+				t.Errorf("error %q does not mention %q", apiErr.Error, tc.msg)
+			}
+			if st := getStats(t, ts.URL); st.Jobs != 0 || st.FingerprintBuilds != 0 {
+				t.Errorf("after the refusal: jobs=%d fingerprint_builds=%d, want 0 and 0", st.Jobs, st.FingerprintBuilds)
 			}
 		})
 	}

@@ -5,7 +5,8 @@
 # execution per matrix cell. The daemon is then SIGTERMed (clean drain must
 # exit 0) and restarted over the same store directory; the resubmitted
 # matrix must be served from disk with a positive hit rate and no
-# execution, byte-identical to the first boot's reports.
+# execution, byte-identical to the first boot's reports, and submitted again
+# it is keyed from the daemon's fingerprint memo without a kernel build.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,9 +63,14 @@ submit_matrix() {
         "http://$addr/v1/jobs?wait=1" > "$2"
 }
 
+# stat_of <field>: one /v1/stats counter.
+stat_of() {
+    curl -sS -f "http://$addr/v1/stats" | jq -r ".$1"
+}
+
 # require_simulated <n>: the daemon has run exactly n executions.
 require_simulated() {
-    sims=$(curl -sS -f "http://$addr/v1/stats" | jq -r .runner.simulated)
+    sims=$(stat_of runner.simulated)
     if [ "$sims" -ne "$1" ]; then
         echo "servesmoke: runner.simulated = $sims, want $1" >&2
         exit 1
@@ -100,9 +106,9 @@ require_simulated 3 # one per matrix cell: repeats join or hit the store
 # require_refused <status> <body-file>: posting the body answers <status>
 # and registers no job.
 require_refused() {
-    before=$(curl -sS -f "http://$addr/v1/stats" | jq -r .jobs)
+    before=$(stat_of jobs)
     code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary "@$2" "http://$addr/v1/jobs")
-    after=$(curl -sS -f "http://$addr/v1/stats" | jq -r .jobs)
+    after=$(stat_of jobs)
     if [ "$code" -ne "$1" ] || [ "$after" -ne "$before" ]; then
         echo "servesmoke: posting $2 answered $code with jobs $before -> $after, want $1 and no new job" >&2
         exit 1
@@ -110,11 +116,14 @@ require_refused() {
 }
 
 # A batch is bounded and validated before any of it is registered: a
-# valid spec beside an invalid one answers 400, a body over 1 MiB 413.
+# valid spec beside an invalid one answers 400, a body over 1 MiB 413, and
+# a size over the kernel's bound 400.
 echo '{"jobs":[{"kernel":"C","variant":"uve","size":256},{"kernel":"ZZZ","variant":"uve"}]}' > "$dir/mixed.json"
 jq -c -n '{jobs: [range(40001) | {kernel: "C", variant: "uve", size: 256}]}' > "$dir/big.json"
+echo '{"kernel":"K","variant":"uve","size":48}' > "$dir/oversized.json"
 require_refused 400 "$dir/mixed.json"
 require_refused 413 "$dir/big.json"
+require_refused 400 "$dir/oversized.json"
 
 # Leave one simulation in flight, then SIGTERM: the drain must let it
 # finish and still exit cleanly.
@@ -123,14 +132,22 @@ curl -sS -f -d '{"kernel":"C","variant":"uve","size":65536}' \
 stop_daemon
 
 # Restart over the same store: everything comes from disk, byte-identical,
-# and the store hit counter is positive.
+# and the store hit counter is positive. The new daemon fingerprints each
+# cell once; the same matrix again is keyed from its memo, with no build.
 start_daemon
-submit_matrix carol "$dir/carol.json"
-[ "$(jq -r '[.jobs[].from_store] | unique | .[]' "$dir/carol.json")" = "true" ]
-fetch_reports "$dir/carol.json" "$dir/reports-carol"
-diff -r "$dir/reports-alice" "$dir/reports-carol"
+for round in 1 2; do
+    submit_matrix carol "$dir/carol-$round.json"
+    [ "$(jq -r '[.jobs[].from_store] | unique | .[]' "$dir/carol-$round.json")" = "true" ]
+    fetch_reports "$dir/carol-$round.json" "$dir/reports-carol-$round"
+    diff -r "$dir/reports-alice" "$dir/reports-carol-$round"
+    builds=$(stat_of fingerprint_builds)
+    if [ "$builds" -ne 3 ]; then
+        echo "servesmoke: restart round $round fingerprint_builds = $builds, want 3" >&2
+        exit 1
+    fi
+done
 require_simulated 0
-hits=$(curl -sS -f "http://$addr/v1/stats" | jq -r .store_hits)
+hits=$(stat_of store_hits)
 if [ "$hits" -le 0 ]; then
     echo "servesmoke: restart store_hits = $hits, want > 0" >&2
     exit 1
