@@ -6,6 +6,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -137,5 +138,46 @@ func TestFingerprintJobDefaultSize(t *testing.T) {
 	}
 	if h0 != hd {
 		t.Fatal("Size 0 and DefaultSize fingerprint differently")
+	}
+}
+
+// TestFingerprintJobCoversImage: flipping one byte of any allocated
+// extent's initial content after the build moves the fingerprint, so a
+// kernel whose input data changes misses the store. The kernel ID moves it
+// too, since the stored report names it.
+func TestFingerprintJobCoversImage(t *testing.T) {
+	k := kernels.ByID("Q")
+	const size = 64
+	job := func(key string, flip int) Job {
+		return Job{Key: key, Variant: kernels.UVE, Size: size, Build: func(h *mem.Hierarchy) *kernels.Instance {
+			inst := k.Build(h, kernels.UVE, size)
+			if flip >= 0 {
+				e := h.Mem.Extents()[flip]
+				h.Mem.Write(e.Base, arch.W1, ^h.Mem.Read(e.Base, arch.W1))
+			}
+			return inst
+		}}
+	}
+	h0, err := FingerprintJob(job(k.ID, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier := mem.NewHierarchy(sim.DefaultOptions(kernels.UVE).Hier)
+	k.Build(hier, kernels.UVE, size)
+	n := len(hier.Mem.Extents())
+	if n == 0 {
+		t.Fatal("kernel allocated no extents")
+	}
+	for i := 0; i < n; i++ {
+		h, err := FingerprintJob(job(k.ID, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h == h0 {
+			t.Errorf("flipping a byte of extent %d did not move the fingerprint", i)
+		}
+	}
+	if h, err := FingerprintJob(job("renamed", -1)); err != nil || h == h0 {
+		t.Errorf("the kernel ID did not move the fingerprint (err %v)", err)
 	}
 }
