@@ -25,15 +25,12 @@ var KCovariance = register(&Kernel{
 	Build:         buildCovariance,
 })
 
-func buildCovariance(h *mem.Hierarchy, v Variant, n int) *Instance {
-	rng := newLCG(1717)
-	dB, dv := allocMatF32(h, n, n, func(i, j int) float64 { return rng.f32(1) })
-	meanB := h.Mem.Alloc(4*n, arch.LineSize)
-	covB := h.Mem.Alloc(4*n*n, arch.LineSize)
-
-	// Reference (same operation structure as the kernels; dot products use
-	// a tolerance because chunked accumulation reorders the sums).
-	mean := make([]float64, n)
+// refCovariance computes the column means and the upper triangle of the
+// covariance matrix of the n×n data dv, with the operation structure the
+// kernels use (dot products are compared with a tolerance because chunked
+// accumulation reorders the sums).
+func refCovariance(dv []float64, n int) (mean, cov []float64) {
+	mean = make([]float64, n)
 	for j := 0; j < n; j++ {
 		s := 0.0
 		for i := 0; i < n; i++ {
@@ -47,16 +44,24 @@ func buildCovariance(h *mem.Hierarchy, v Variant, n int) *Instance {
 			cent[i*n+j] = dv[i*n+j] - mean[j]
 		}
 	}
-	wantCov := make([]float64, n*n)
+	cov = make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			s := 0.0
 			for k := 0; k < n; k++ {
 				s += cent[k*n+i] * cent[k*n+j]
 			}
-			wantCov[i*n+j] = s / float64(n-1)
+			cov[i*n+j] = s / float64(n-1)
 		}
 	}
+	return mean, cov
+}
+
+func buildCovariance(h *mem.Hierarchy, v Variant, n int) *Instance {
+	rng := newLCG(1717)
+	dB, dv := allocMatF32(h, n, n, func(i, j int) float64 { return rng.f32(1) })
+	meanB := h.Mem.Alloc(4*n, arch.LineSize)
+	covB := h.Mem.Alloc(4*n*n, arch.LineSize)
 
 	const w = arch.W4
 	lanes := arch.LanesFor(arch.MaxVecBytes, w)
@@ -206,6 +211,7 @@ func buildCovariance(h *mem.Hierarchy, v Variant, n int) *Instance {
 	b.I(isa.Halt())
 
 	inst := instance(b, int64(4*(2*n*n+n)), func() error {
+		mean, wantCov := refCovariance(dv, n)
 		if err := checkF32(h, "mean", meanB, mean, 1e-3); err != nil {
 			return err
 		}

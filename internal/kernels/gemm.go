@@ -147,7 +147,6 @@ func buildGemm(h *mem.Hierarchy, v Variant, n int) *Instance {
 	aB, av := allocMatF32(h, n, n, func(i, j int) float64 { return rng.f32(1) })
 	bB, bv := allocMatF32(h, n, n, func(i, j int) float64 { return rng.f32(1) })
 	cB := h.Mem.Alloc(4*n*n, arch.LineSize)
-	want := refGemm(av, bv, n)
 
 	b := program.NewBuilder("gemm-" + v.String())
 	if v == UVE {
@@ -157,7 +156,7 @@ func buildGemm(h *mem.Hierarchy, v Variant, n int) *Instance {
 	}
 	b.I(isa.Halt())
 	inst := instance(b, int64(12*n*n), func() error {
-		return checkF32(h, "C", cB, want, 1e-4)
+		return checkF32(h, "C", cB, refGemm(av, bv, n), 1e-4)
 	})
 	if v != UVE {
 		inst.IntArgs[1] = uint64(n)
@@ -189,9 +188,6 @@ func build3mm(h *mem.Hierarchy, v Variant, n int) *Instance {
 	eB := h.Mem.Alloc(4*n*n, arch.LineSize)
 	fB := h.Mem.Alloc(4*n*n, arch.LineSize)
 	gB := h.Mem.Alloc(4*n*n, arch.LineSize)
-	ev := refGemm(av, bv, n)
-	fv := refGemm(cv, dv, n)
-	gv := refGemm(ev, fv, n)
 
 	b := program.NewBuilder("3mm-" + v.String())
 	if v == UVE {
@@ -205,6 +201,9 @@ func build3mm(h *mem.Hierarchy, v Variant, n int) *Instance {
 	}
 	b.I(isa.Halt())
 	inst := instance(b, int64(28*n*n), func() error {
+		ev := refGemm(av, bv, n)
+		fv := refGemm(cv, dv, n)
+		gv := refGemm(ev, fv, n)
 		if err := checkF32(h, "E", eB, ev, 1e-4); err != nil {
 			return err
 		}
@@ -233,7 +232,6 @@ func UnrolledGemmUVE(h *mem.Hierarchy, n, unroll int) *Instance {
 	aB, av := allocMatF32(h, n, n, func(i, j int) float64 { return rng.f32(1) })
 	bB, bv := allocMatF32(h, n, n, func(i, j int) float64 { return rng.f32(1) })
 	cB := h.Mem.Alloc(4*n*n, arch.LineSize)
-	want := refGemm(av, bv, n)
 
 	const w = arch.W4
 	b := program.NewBuilder("gemm-uve-unroll")
@@ -275,6 +273,6 @@ func UnrolledGemmUVE(h *mem.Hierarchy, n, unroll int) *Instance {
 	b.I(isa.Halt())
 
 	return finalize(h, instance(b, int64(12*n*n), func() error {
-		return checkF32(h, "C", cB, want, 1e-3)
+		return checkF32(h, "C", cB, refGemm(av, bv, n), 1e-3)
 	}))
 }

@@ -24,6 +24,26 @@ var KHaccmk = register(&Kernel{
 	Build:         buildHaccmk,
 })
 
+// refForces computes every particle's force from all n particles (the
+// O(n²) reference the HACCmk variants are checked against).
+func refForces(xs, ys, zs []float64, eps float64) (fx, fy, fz []float64) {
+	n := len(xs)
+	fx, fy, fz = make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			dx := xs[j] - xs[i]
+			dy := ys[j] - ys[i]
+			dz := zs[j] - zs[i]
+			r2 := dx*dx + dy*dy + dz*dz + eps
+			s := 1 / (r2 * math.Sqrt(r2))
+			fx[i] += dx * s
+			fy[i] += dy * s
+			fz[i] += dz * s
+		}
+	}
+	return fx, fy, fz
+}
+
 func buildHaccmk(h *mem.Hierarchy, v Variant, n int) *Instance {
 	const eps = 0.01
 	rng := newLCG(1414)
@@ -33,24 +53,6 @@ func buildHaccmk(h *mem.Hierarchy, v Variant, n int) *Instance {
 	fxB, _ := allocF32(h, n, func(int) float64 { return 0 })
 	fyB, _ := allocF32(h, n, func(int) float64 { return 0 })
 	fzB, _ := allocF32(h, n, func(int) float64 { return 0 })
-
-	wantFx := make([]float64, n)
-	wantFy := make([]float64, n)
-	wantFz := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var fx, fy, fz float64
-		for j := 0; j < n; j++ {
-			dx := xs[j] - xs[i]
-			dy := ys[j] - ys[i]
-			dz := zs[j] - zs[i]
-			r2 := dx*dx + dy*dy + dz*dz + eps
-			s := 1 / (r2 * math.Sqrt(r2))
-			fx += dx * s
-			fy += dy * s
-			fz += dz * s
-		}
-		wantFx[i], wantFy[i], wantFz[i] = fx, fy, fz
-	}
 
 	const w = arch.W4
 	b := program.NewBuilder("haccmk-" + v.String())
@@ -154,6 +156,7 @@ func buildHaccmk(h *mem.Hierarchy, v Variant, n int) *Instance {
 	b.I(isa.Halt())
 
 	inst := instance(b, int64(24*n), func() error {
+		wantFx, wantFy, wantFz := refForces(xs, ys, zs, eps)
 		if err := checkF32(h, "fx", fxB, wantFx, 2e-3); err != nil {
 			return err
 		}
