@@ -11,12 +11,19 @@ import (
 // empty bucket is a 429 with a retriable body. Rate 0 with a positive
 // burst is a fixed, non-refilling allowance (deterministic tests use it);
 // rate and burst both <= 0 disables limiting entirely.
+//
+// With rate > 0, a bucket that has refilled to burst behaves exactly like
+// a missing one, so allow drops such buckets in a sweep at most once per
+// refill time (burst/rate): by then every bucket untouched since the
+// previous sweep is full, and the map holds only recently seen clients.
+// With rate 0 buckets never refill, and one is kept per client key.
 type limiter struct {
 	rate  float64
 	burst float64
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	swept   time.Time
 	rejects int
 }
 
@@ -45,6 +52,14 @@ func (l *limiter) allow(client string, now time.Time) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.rate > 0 && now.Sub(l.swept).Seconds()*l.rate >= l.burst {
+		for k, b := range l.buckets {
+			if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+				delete(l.buckets, k)
+			}
+		}
+		l.swept = now
+	}
 	b := l.buckets[client]
 	if b == nil {
 		b = &bucket{tokens: l.burst, last: now}
