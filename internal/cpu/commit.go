@@ -196,15 +196,3 @@ func (c *Core) squashAfter(keep int) {
 	c.inflight = dropYounger(c.inflight, keepSeq)
 	c.lq = dropYounger(c.lq, keepSeq)
 }
-
-// DrainedStoreLines exposes pending senior-store lines (tests).
-func (c *Core) DrainedStoreLines() int { return len(c.drainQ) }
-
-// VecReg reads an architectural vector register (after Run), for tests.
-func (c *Core) VecReg(n int) isa.VecVal { return c.vecVal[c.ratVec[n]] }
-
-// PredReg reads an architectural predicate register, for tests.
-func (c *Core) PredReg(n int) isa.PredVal { return c.prVal[c.ratPred[n]] }
-
-// ReadMem exposes the functional memory for result validation.
-func (c *Core) ReadMem(addr uint64, w arch.ElemWidth) uint64 { return c.hier.Mem.Read(addr, w) }

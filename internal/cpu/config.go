@@ -205,18 +205,6 @@ type Stats struct {
 	ROBOccupancySum  int64
 }
 
-// KindBreakdown returns the per-kind retirement counts keyed by the kind
-// names (for reports and JSON output).
-func (s *Stats) KindBreakdown() map[string]uint64 {
-	m := make(map[string]uint64)
-	for k, n := range s.CommittedByKind {
-		if n != 0 {
-			m[isa.Kind(k).String()] = n
-		}
-	}
-	return m
-}
-
 // RenameBlocksPerCycle is the Fig 8.C metric.
 func (s *Stats) RenameBlocksPerCycle() float64 {
 	if s.Cycles == 0 {

@@ -449,51 +449,6 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
-func TestContextSaveRestore(t *testing.T) {
-	r := newRig(t, DefaultConfig())
-	base := r.h.Mem.Alloc(4*64, 64)
-	vals := make([]float64, 64)
-	for i := range vals {
-		vals[i] = float64(i) + 0.5
-	}
-	r.fillFloats(base, arch.W4, vals)
-	d := descriptor.New(base, arch.W4, descriptor.Load).Linear(64, 1).MustBuild()
-	r.configure(15, d)
-	slot, _ := r.e.StreamFor(15)
-	v := r.consume(15)
-	r.e.CommitConsume(slot, v.Seq)
-
-	ctxs, bytes := r.e.SaveContext()
-	if len(ctxs) != 1 {
-		t.Fatalf("saved %d streams, want 1", len(ctxs))
-	}
-	if bytes != d.StateBytes() {
-		t.Fatalf("context size %d, want %d", bytes, d.StateBytes())
-	}
-	r.e.DropAll()
-	if r.e.ActiveStreams() != 0 {
-		t.Fatal("DropAll left streams")
-	}
-	// Restore on a fresh engine (new "process-in" after context switch).
-	r.e.RestoreContext(ctxs)
-	slot2, ok := r.e.StreamFor(15)
-	if !ok {
-		t.Fatal("restored stream not mapped")
-	}
-	var v2 ChunkView
-	delivered := false
-	for i := 0; i < 20000 && !delivered; i++ {
-		v2, delivered = r.e.ConsumeChunk(slot2)
-		r.tick()
-	}
-	if !delivered {
-		t.Fatal("restored stream never delivered")
-	}
-	if v2.Data.F(0) != 16.5 {
-		t.Fatalf("restored stream resumes at %v, want 16.5", v2.Data.F(0))
-	}
-}
-
 func TestPageFaultFlagsChunk(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	base := r.h.Mem.Alloc(4*16, arch.PageSize)

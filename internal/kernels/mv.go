@@ -16,14 +16,6 @@ func rows2D(base uint64, w arch.ElemWidth, rows, rowLen, stride int) *descriptor
 		MustBuild()
 }
 
-// cols2D walks an N×N matrix column by column (strided dim 0).
-func cols2D(base uint64, w arch.ElemWidth, n int) *descriptor.Descriptor {
-	return descriptor.New(base, w, descriptor.Load).
-		Dim(0, int64(n), int64(n)).
-		Dim(0, int64(n), 1).
-		MustBuild()
-}
-
 // repRows repeats a length-n vector once per row, rows times. Such small,
 // heavily re-used structures are streamed from the L1 (so.cfg.mem1), the
 // use-case the paper calls out for L1-level streaming (§VI-B, Fig 11).

@@ -68,9 +68,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's on-disk root directory.
-func (s *Store) Root() string { return s.root }
-
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -16,20 +16,6 @@ type Hash [32]byte
 // String renders the digest as lowercase hex, the store's on-disk spelling.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
-// HashBytes digests raw bytes (already-canonical material such as
-// EncodeUnit output).
-func HashBytes(b []byte) Hash { return sha256.Sum256(b) }
-
-// HashUnit digests a unit's canonical wire encoding. Two units hash equal
-// iff they are the same program with the same build context.
-func HashUnit(u *Unit) (Hash, error) {
-	b, err := EncodeUnit(u)
-	if err != nil {
-		return Hash{}, err
-	}
-	return sha256.Sum256(b), nil
-}
-
 // Config-hash framing: a magic so config digests can never collide with
 // digests of raw wire blobs, and a version bumped whenever the canonical
 // value encoding below changes shape.

@@ -9,25 +9,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestHashUnitMatchesEncoding: HashUnit is exactly SHA-256 over EncodeUnit.
-func TestHashUnitMatchesEncoding(t *testing.T) {
-	u := corpus(t)[0].Unit()
-	b, err := wire.EncodeUnit(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := wire.HashUnit(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != wire.HashBytes(b) {
-		t.Fatalf("HashUnit = %s, want HashBytes(EncodeUnit) = %s", h, wire.HashBytes(b))
-	}
-	if len(h.String()) != 64 {
-		t.Fatalf("hex digest length %d, want 64", len(h.String()))
-	}
-}
-
 // TestHashConfigDeterministic: equal values hash equal; the domain string
 // namespaces otherwise-identical values; field changes change the hash.
 func TestHashConfigDeterministic(t *testing.T) {
@@ -93,18 +74,22 @@ func TestHashConfigRejectsFuncs(t *testing.T) {
 	}
 }
 
-// TestHashUnitDistinguishesCorpus: every corpus entry hashes to a distinct
-// digest — programs, argument registers and extents all participate.
-func TestHashUnitDistinguishesCorpus(t *testing.T) {
-	seen := make(map[wire.Hash]string)
+// TestEncodeUnitDistinguishesCorpus: every corpus entry encodes to
+// distinct bytes — programs, argument registers and extents all
+// participate — and a digest renders as 64 hex digits.
+func TestEncodeUnitDistinguishesCorpus(t *testing.T) {
+	seen := make(map[string]string)
 	for _, e := range corpus(t) {
-		h, err := wire.HashUnit(e.Unit())
+		b, err := wire.EncodeUnit(e.Unit())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		if prev, dup := seen[h]; dup {
-			t.Fatalf("%s and %s hash equal", prev, e.Name())
+		if prev, dup := seen[string(b)]; dup {
+			t.Fatalf("%s and %s encode equal", prev, e.Name())
 		}
-		seen[h] = e.Name()
+		seen[string(b)] = e.Name()
+	}
+	if s := (wire.Hash{0xab}).String(); len(s) != 64 || s[:2] != "ab" {
+		t.Fatalf("digest renders as %q, want 64 hex digits", s)
 	}
 }
