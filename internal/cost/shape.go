@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -71,12 +72,12 @@ func opaqueWork(d *descriptor.Descriptor, lanes int, note string) *streamWork {
 	return &streamWork{desc: d, lanes: lanes, hi: Unbounded, note: note}
 }
 
-// computeWork derives a stream instance's work from its descriptor: pure
-// affine patterns in closed form (no enumeration), modifier/indirect
-// patterns via a budgeted symbolic walk of the descriptor iterator — the
-// same split descriptor.Footprint uses. originElems carries each origin
-// stream's exact element count; a missing entry means the origin's count is
-// itself inexact.
+// computeWork derives a stream instance's work from its descriptor by a
+// budgeted symbolic walk of the descriptor iterator. A pure affine pattern
+// too long to walk gets its counts in closed form instead, and its line
+// quantities stay unknown. originElems carries each origin stream's exact
+// element count; a missing entry means the origin's count is itself
+// inexact.
 func computeWork(d *descriptor.Descriptor, lanes int, originElems map[int]int64, walkBudget int64) *streamWork {
 	if lanes <= 0 {
 		return opaqueWork(d, lanes, "non-positive lane count")
@@ -94,9 +95,8 @@ func computeWork(d *descriptor.Descriptor, lanes int, originElems map[int]int64,
 		}
 	}
 	if len(d.Static) == 0 && !d.HasIndirect() {
-		w := affineWork(d, lanes)
-		if w != nil {
-			walkLines(w, d, nil, walkBudget)
+		if w := affineWork(d, lanes); w != nil && w.elems > walkBudget {
+			w.addrNote = fmt.Sprintf("address walk exceeds the %d-element budget", walkBudget)
 			return w
 		}
 	}
@@ -105,8 +105,10 @@ func computeWork(d *descriptor.Descriptor, lanes int, originElems map[int]int64,
 
 // affineWork computes a pure affine descriptor's counts and chunk structure
 // in closed form: elems = Π sizes, one run per outer odometer position,
-// boundaries at run ends. Returns nil when the products overflow the budget
-// arithmetic (callers fall back to the walk, which will degrade cleanly).
+// boundaries at run ends. It restates descriptor.ClosesChunk for this
+// shape; the tests check it against the walk. Returns nil when the products
+// overflow the budget arithmetic (callers fall back to the walk, which will
+// degrade cleanly).
 func affineWork(d *descriptor.Descriptor, lanes int) *streamWork {
 	w := &streamWork{desc: d, lanes: lanes, exact: true}
 	sizes := make([]int64, len(d.Dims))
@@ -176,8 +178,13 @@ func affineWork(d *descriptor.Descriptor, lanes int) *streamWork {
 	return w
 }
 
-// walkWork enumerates the descriptor under the walk budget, reproducing the
-// engine generator's chunking rule (close at lane-full or end-of-dim-0).
+// walkWork enumerates the descriptor under the walk budget, chunk by chunk
+// as the engine's generator packs them (descriptor.NextChunk), and derives
+// in the same pass the counts, the chunk structure and, for direct
+// patterns, the generator's line quantities: coalesced line requests (a new
+// request only when an element's line differs from the previous element's,
+// persisting across chunks), within-chunk line segments, per-chunk unique
+// store lines, and the unique line set.
 func walkWork(d *descriptor.Descriptor, lanes int, originElems map[int]int64, walkBudget int64) *streamWork {
 	w := &streamWork{desc: d, lanes: lanes}
 	var src descriptor.OriginSource
@@ -196,36 +203,46 @@ func walkWork(d *descriptor.Descriptor, lanes int, originElems map[int]int64, wa
 		last bool
 	}
 	var metas []chunkMeta
-	var cur int64
-	for {
-		el, ok := it.Next()
-		if !ok {
-			break
-		}
+	set := map[uint64]struct{}{}
+	var lastLine uint64
+	haveLast := false
+	var c descriptor.Chunk
+	var chunkLines []uint64 // the open chunk's distinct lines
+	for it.NextChunk(lanes, &c) {
 		if it.Emitted() > walkBudget {
 			return opaqueWork(d, lanes, fmt.Sprintf("pattern exceeds the %d-element walk budget", walkBudget))
 		}
-		w.elems++
-		cur++
-		if cur >= int64(lanes) || el.EndsDim(0) {
-			metas = append(metas, chunkMeta{n: cur, end: el.End, last: el.Last})
-			if el.End != 0 && !el.Last {
-				w.dimBounds++
-			}
-			cur = 0
+		n := int64(len(c.Addrs))
+		w.elems += n
+		metas = append(metas, chunkMeta{n: n, end: c.End, last: c.Last})
+		if c.End != 0 && !c.Last {
+			w.dimBounds++
 		}
-	}
-	if cur > 0 {
-		// Degenerate tail guard, mirroring the functional tier: the final
-		// element always closes a chunk, but keep the engine's safety net.
-		metas = append(metas, chunkMeta{n: cur, end: ^uint16(0), last: true})
+		if zs != nil {
+			continue
+		}
+		chunkLines = chunkLines[:0]
+		for i, a := range c.Addrs {
+			line := arch.LineOf(a)
+			if !haveLast || line != lastLine {
+				w.lineReqs++
+			}
+			if i == 0 || line != lastLine {
+				w.segs++
+			}
+			lastLine, haveLast = line, true
+			if !slices.Contains(chunkLines, line) {
+				chunkLines = append(chunkLines, line)
+				w.storeLines++
+			}
+			if int64(len(set)) <= DefaultLineSet {
+				set[line] = struct{}{}
+			}
+		}
 	}
 	w.exact = true
 	w.chunks = int64(len(metas))
 	w.hi = uint64(w.elems)
-	if zs != nil {
-		w.originUsed = zs.used
-	}
 	w.flagAt = func(i int64) (uint16, bool) {
 		if i < 0 || i >= int64(len(metas)) {
 			return 0, false
@@ -251,68 +268,21 @@ func walkWork(d *descriptor.Descriptor, lanes int, originElems map[int]int64, wa
 		}
 		return el, db
 	}
-	if !d.HasIndirect() {
-		walkLines(w, d, nil, walkBudget)
-	} else {
+	switch {
+	case zs != nil:
+		w.originUsed = zs.used
 		w.addrNote = "indirect addresses depend on origin data"
+	case int64(len(set)) > DefaultLineSet:
+		w.addrNote = fmt.Sprintf("unique-line set exceeds the %d-line budget", DefaultLineSet)
+	default:
+		w.addrExact = true
+		w.lines = make([]uint64, 0, len(set))
+		for l := range set {
+			w.lines = append(w.lines, l)
+		}
+		sort.Slice(w.lines, func(i, j int) bool { return w.lines[i] < w.lines[j] })
 	}
 	return w
-}
-
-// walkLines re-enumerates the address sequence of an affine descriptor to
-// derive the generator's line quantities: coalesced line requests (a new
-// request only when the element's line differs from the previous element's,
-// persisting across chunks, as the engine's generator coalesces), per-chunk
-// store line counts, within-chunk segments, and the unique line set.
-func walkLines(w *streamWork, d *descriptor.Descriptor, src descriptor.OriginSource, walkBudget int64) {
-	it := descriptor.NewIterator(d, src)
-	set := map[uint64]struct{}{}
-	var lastLine uint64
-	haveLast := false
-	var chunkLen int64
-	var chunkLine uint64
-	chunkSeen := map[uint64]struct{}{}
-	for {
-		el, ok := it.Next()
-		if !ok {
-			break
-		}
-		if it.Emitted() > walkBudget {
-			w.addrNote = fmt.Sprintf("address walk exceeds the %d-element budget", walkBudget)
-			return
-		}
-		line := arch.LineOf(el.Addr)
-		if !haveLast || line != lastLine {
-			w.lineReqs++
-			lastLine, haveLast = line, true
-		}
-		if chunkLen == 0 || line != chunkLine {
-			w.segs++
-			chunkLine = line
-		}
-		if _, dup := chunkSeen[line]; !dup {
-			chunkSeen[line] = struct{}{}
-			w.storeLines++
-		}
-		if int64(len(set)) <= DefaultLineSet {
-			set[line] = struct{}{}
-		}
-		chunkLen++
-		if chunkLen >= int64(w.lanes) || el.EndsDim(0) {
-			chunkLen = 0
-			chunkSeen = map[uint64]struct{}{}
-		}
-	}
-	if int64(len(set)) > DefaultLineSet {
-		w.addrNote = fmt.Sprintf("unique-line set exceeds the %d-line budget", DefaultLineSet)
-		return
-	}
-	w.addrExact = true
-	w.lines = make([]uint64, 0, len(set))
-	for l := range set {
-		w.lines = append(w.lines, l)
-	}
-	sort.Slice(w.lines, func(i, j int) bool { return w.lines[i] < w.lines[j] })
 }
 
 // genSteps lower-bounds the generator steps a stream instance needs: one per

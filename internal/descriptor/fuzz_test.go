@@ -53,7 +53,9 @@ func seedCorpus(f *testing.F) {
 // FuzzIterator checks iterator invariants on arbitrary bounded descriptors:
 // the walk terminates, emits exactly the nested-loop element count for
 // modifier-free patterns, flags dimension ends consistently, and marks Last
-// exactly once.
+// exactly once. NextChunk's chunks, at several lane counts, concatenate to
+// exactly Next's sequence, and each closes by the packing rule: at lanes
+// elements or at an element ending dimension 0, and at no earlier element.
 func FuzzIterator(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, o0, s0 int8, e0 uint8, o1, s1 int8, e1 uint8, o2, s2 int8, e2 uint8,
@@ -64,12 +66,14 @@ func FuzzIterator(f *testing.F) {
 		}
 		const cap = 1 << 16
 		it := descriptor.NewIterator(d, nil)
+		var seq []descriptor.Elem
 		n, lasts := 0, 0
 		for n < cap {
 			e, more := it.Next()
 			if !more {
 				break
 			}
+			seq = append(seq, e)
 			n++
 			if e.Last {
 				lasts++
@@ -96,6 +100,38 @@ func FuzzIterator(f *testing.F) {
 			}
 			if int64(n) != want {
 				t.Fatalf("emitted %d elements, nested-loop count is %d: %v", n, want, d)
+			}
+		}
+		if n > 0 && seq[n-1].End&1 == 0 {
+			t.Fatalf("final element does not end dimension 0: %+v", seq[n-1])
+		}
+		for _, lanes := range []int{1, 3, 4, 16} {
+			ci := descriptor.NewIterator(d, nil)
+			var c descriptor.Chunk
+			pos := 0
+			for ci.NextChunk(lanes, &c) {
+				m := len(c.Addrs)
+				if m == 0 || m > lanes || pos+m > n {
+					t.Fatalf("lanes %d: chunk at %d holds %d elements of %d", lanes, pos, m, n)
+				}
+				for j, a := range c.Addrs {
+					e := seq[pos+j]
+					if a != e.Addr {
+						t.Fatalf("lanes %d: chunk element %d is %#x, Next gave %#x", lanes, pos+j, a, e.Addr)
+					}
+					closes := j+1 == lanes || e.End&1 != 0
+					if closes != (j == m-1) {
+						t.Fatalf("lanes %d: chunk at %d closes after %d elements, element %d (End %#x) breaks the rule",
+							lanes, pos, m, pos+j, e.End)
+					}
+				}
+				if last := seq[pos+m-1]; c.End != last.End || c.Last != last.Last {
+					t.Fatalf("lanes %d: chunk flags %#x/%v, closing element %#x/%v", lanes, c.End, c.Last, last.End, last.Last)
+				}
+				pos += m
+			}
+			if pos != n {
+				t.Fatalf("lanes %d: chunks hold %d elements, Next gave %d", lanes, pos, n)
 			}
 		}
 	})
