@@ -11,7 +11,9 @@ import (
 )
 
 // checkBookkeeping checks every scheduler list against the ROB predicate it
-// replaces, and the engine's live-stream list against its stream table.
+// replaces, the completion wake bound against the in-flight list, the
+// memory hierarchy's wake bounds, and the engine's live-stream list against
+// its stream table.
 func (c *Core) checkBookkeeping() error {
 	var unissued [pgCount]int
 	var waiting, inflight, lq []*robEntry
@@ -31,6 +33,14 @@ func (c *Core) checkBookkeeping() error {
 	}
 	if !slices.Equal(c.inflight, inflight) {
 		return fmt.Errorf("in-flight list %v, ROB has %v", seqs(c.inflight), seqs(inflight))
+	}
+	for _, e := range c.inflight {
+		if e.execDoneAt != 0 && e.execDoneAt < c.doneAt {
+			return fmt.Errorf("complete wakes at %d, seq %d is done at %d", c.doneAt, e.seq, e.execDoneAt)
+		}
+	}
+	if err := c.hier.CheckWakeBounds(); err != nil {
+		return err
 	}
 	if !slices.Equal(c.lq, lq) {
 		return fmt.Errorf("LQ %v, ROB has %v", seqs(c.lq), seqs(lq))

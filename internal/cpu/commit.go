@@ -23,7 +23,7 @@ func (c *Core) commit() {
 		if e.unimpl {
 			panic(&UnimplementedError{PC: e.pc, Op: e.inst.Op.Name()})
 		}
-		in := &e.inst
+		in := e.inst
 
 		for i := range e.consumes {
 			rec := &e.consumes[i]

@@ -54,9 +54,21 @@ type streamRec struct {
 // outlive its instruction (a load's line request) captures seq at issue and
 // checks it on arrival.
 type robEntry struct {
+	robState
+
+	inst      *isa.Inst // into the program, which no one writes during a run
+	laneAddrs []uint64  // gather element addresses
+	lines     []uint64
+	consumes  []streamRec
+	cfgTok    *engine.ConfigToken
+}
+
+// robState is every pointer-free field of a ROB entry, so that newEntry
+// clears them with a plain memory clear: clearing pointer fields takes a
+// GC write barrier each while the collector marks.
+type robState struct {
 	seq      int64
 	pc       int
-	inst     isa.Inst
 	squashed bool
 
 	dstClass isa.RegClass
@@ -83,11 +95,9 @@ type robEntry struct {
 	isLoad      bool
 	agDone      bool
 	addr        uint64
-	laneAddrs   []uint64 // gather element addresses
 	memW        arch.ElemWidth
 	memLanes    int
 	memBytes    int
-	lines       []uint64
 	linesIssued int
 	linesPend   int
 	memDone     bool
@@ -99,11 +109,9 @@ type robEntry struct {
 	resPred    isa.PredVal
 	storeStamp int64 // engine reservation stamp at rename (load ordering)
 
-	consumes []streamRec
-	produce  streamRec // consumed is false when no store chunk was reserved
-	cfgTok   *engine.ConfigToken
-	ctl      bool // stream-control µOp (suspend/resume/stop/force)
-	ctlUndo  engine.CtlUndo
+	produce streamRec // consumed is false when no store chunk was reserved
+	ctl     bool      // stream-control µOp (suspend/resume/stop/force)
+	ctlUndo engine.CtlUndo
 
 	sbEnd  uint16
 	sbLast bool
@@ -209,6 +217,12 @@ type Core struct {
 	inflight []*robEntry
 	lq       []*robEntry
 	lqBuf    []*robEntry
+	// doneAt is at most the earliest non-zero execDoneAt in inflight
+	// (mem.NoEvent when there is none): complete walks the list only from
+	// that cycle on. Setting an execDoneAt lowers it (wake), and complete's
+	// walk recomputes it. A squash only removes entries, which cannot lower
+	// the earliest one, so it leaves the bound as it is.
+	doneAt int64
 
 	sq       []*sqEntry // program order; preallocated to SQSize
 	sqFree   []*sqEntry
@@ -270,7 +284,7 @@ const cancelBatch = 4096
 // New builds a core executing prog over the given memory hierarchy. eng may
 // be nil (baseline cores without streaming support).
 func New(cfg Config, prog *program.Program, h *mem.Hierarchy, eng *engine.Engine) *Core {
-	c := &Core{cfg: cfg, prog: prog, hier: h, eng: eng, bp: make([]uint8, prog.Len()), rec: trace.Nop}
+	c := &Core{cfg: cfg, prog: prog, hier: h, eng: eng, bp: make([]uint8, prog.Len()), rec: trace.Nop, doneAt: mem.NoEvent}
 	for i := range c.bp {
 		c.bp[i] = bpUnset
 	}
@@ -705,9 +719,10 @@ func (c *Core) freePhys(class isa.RegClass, p int) {
 
 // --- entry pools ---
 
-// newEntry returns a cleared ROB entry, reusing a retired or squashed one
-// (and its slices' capacity) when available. At most ROBSize entries are
-// ever live, which bounds the pool.
+// newEntry returns a ROB entry with cleared state and empty slices,
+// reusing a retired or squashed one (and its slices' capacity) when
+// available; tryRename sets its inst and cfgTok. At most ROBSize entries
+// are ever live, which bounds the pool.
 func (c *Core) newEntry() *robEntry {
 	n := len(c.robFree)
 	if n == 0 {
@@ -715,11 +730,8 @@ func (c *Core) newEntry() *robEntry {
 	}
 	e := c.robFree[n-1]
 	c.robFree = c.robFree[:n-1]
-	// Clearing in place and then restoring the slices avoids building a
-	// cleared copy and copying it over the entry.
-	laneAddrs, lines, consumes := e.laneAddrs[:0], e.lines[:0], e.consumes[:0]
-	*e = robEntry{}
-	e.laneAddrs, e.lines, e.consumes = laneAddrs, lines, consumes
+	e.robState = robState{}
+	e.laneAddrs, e.lines, e.consumes = e.laneAddrs[:0], e.lines[:0], e.consumes[:0]
 	return e
 }
 

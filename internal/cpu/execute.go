@@ -44,6 +44,7 @@ func (c *Core) issue() {
 		}
 		c.inflight = insertBySeq(c.inflight, e)
 		c.execute(e)
+		c.wake(e)
 	}
 	for g, n := range used {
 		if n > 0 {
@@ -79,7 +80,7 @@ func (c *Core) operandPred(e *robEntry) isa.PredVal {
 // execute computes the instruction's result (or starts its memory phase)
 // and schedules writeback after the opcode latency.
 func (c *Core) execute(e *robEntry) {
-	in := &e.inst
+	in := e.inst
 	op := in.Op
 	lat := int64(op.Latency())
 	e.execDoneAt = c.cycle + lat
@@ -309,7 +310,15 @@ func loadEligible(e *robEntry) bool {
 // the load until that store commits (conflict true). memPhase acts on the
 // result; memPhaseBusy uses the same scan so the skip decision can never
 // disagree with the pipeline.
+//
+// Once a load's first line has issued, the scan's outcome can no longer
+// change: it found every older store resolved and none overlapping, older
+// stores only leave the queue, and forwarding needs linesIssued == 0. So
+// the scan runs only before that.
 func (c *Core) loadConflict(e *robEntry) (conflict bool, fwd *sqEntry) {
+	if e.linesIssued > 0 {
+		return false, nil
+	}
 	for _, s := range c.sq { // ordered oldest→youngest
 		if s.seq >= e.seq || !s.live {
 			continue
@@ -367,6 +376,7 @@ func (c *Core) memPhase() {
 			e.memDone = true
 			e.fwdLatency = true
 			e.execDoneAt = c.cycle + 4
+			c.wake(e)
 			c.Stats.LoadsExecuted++
 			c.activity++
 			continue
@@ -382,6 +392,7 @@ func (c *Core) memPhase() {
 				e.fault = true
 				e.faultAddr = e.addr
 				e.execDoneAt = c.cycle + 1
+				c.wake(e)
 				c.activity++
 				continue
 			}
@@ -440,17 +451,32 @@ func (c *Core) loadLineArrived(e *robEntry, seq int64, now int64) {
 		}
 	}
 	e.execDoneAt = now + 1
+	c.wake(e)
+}
+
+// wake lowers complete's bound to e's execDoneAt, once set (0 means the
+// entry waits on the memory phase).
+func (c *Core) wake(e *robEntry) {
+	if e.execDoneAt != 0 && e.execDoneAt < c.doneAt {
+		c.doneAt = e.execDoneAt
+	}
 }
 
 // complete retires execution results into the physical registers, resolves
 // branches (squashing on mispredicts), and feeds output-stream data to the
-// engine. It walks the in-flight list, dropping the entries it completes.
+// engine. It walks the in-flight list, dropping the entries it completes,
+// once the earliest result has matured.
 func (c *Core) complete() {
+	if c.cycle < c.doneAt {
+		return
+	}
 	kept := c.inflight[:0]
+	c.doneAt = mem.NoEvent
 	for _, e := range c.inflight {
 		if e.execDoneAt == 0 || e.execDoneAt > c.cycle ||
 			e.cfgTok != nil && !c.eng.ConfigProcessed(e.cfgTok) { // configuration still queued in the SCROB
 			kept = append(kept, e)
+			c.wake(e)
 			continue
 		}
 		e.done = true

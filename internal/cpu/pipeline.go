@@ -15,7 +15,7 @@ const bpUnset = 0xFF
 
 // predict returns the taken/not-taken prediction for a branch at pc, using
 // 2-bit counters initialized backward-taken / forward-not-taken.
-func (c *Core) predict(pc int, in isa.Inst) bool {
+func (c *Core) predict(pc int, in *isa.Inst) bool {
 	if in.Op == isa.OpJ {
 		return true
 	}
@@ -141,8 +141,7 @@ func (c *Core) rename() {
 	blocked := BlockNone
 	for n := 0; n < c.cfg.FetchWidth && len(c.decodeQ) > 0; n++ {
 		f := c.decodeQ[0]
-		in := c.prog.At(f.pc)
-		cause := c.tryRename(f, in)
+		cause := c.tryRename(f, c.prog.At(f.pc))
 		if cause != BlockNone {
 			blocked = cause
 			break
@@ -170,7 +169,7 @@ func (c *Core) rename() {
 
 // tryRename attempts to rename and dispatch one instruction; it returns the
 // blocking cause on a resource stall.
-func (c *Core) tryRename(f fetchedInst, in isa.Inst) BlockCause {
+func (c *Core) tryRename(f fetchedInst, in *isa.Inst) BlockCause {
 	if len(c.rob) >= c.cfg.ROBSize {
 		return BlockROB
 	}

@@ -119,10 +119,6 @@ type Machine[X any] struct {
 	consBuf [3]*Stream[X]
 }
 
-// haltInst is what a pc outside the program executes: the implicit halt
-// program.At and the cycle core's fetch also supply.
-var haltInst = isa.Halt()
-
 // Init resets m to the entry state over p: every register known and zero
 // (p0 all lanes), the full vector width granted.
 func (m *Machine[X]) Init(p *program.Program, vecBytes int, d Domain[X]) {
@@ -187,10 +183,7 @@ func known(v uint64) Val { return Val{V: v, Known: true} }
 // as is a malformed stream configuration or a stream used while it is still
 // being configured; on error nothing is committed.
 func (m *Machine[X]) Step(pc int) (next int, halt bool, err error) {
-	in := &haltInst
-	if pc >= 0 && pc < len(m.Prog.Insts) {
-		in = &m.Prog.Insts[pc]
-	}
+	in := m.Prog.At(pc)
 	op := in.Op
 	next = pc + 1
 

@@ -179,6 +179,96 @@ func (a *VecArgs) fbin(out *VecVal, f func(x, y float64) float64) {
 	}
 }
 
+// fma computes the fused forms lane-wise: A·B + C, in float32 for 4-byte
+// lanes.
+func (a *VecArgs) fma(out *VecVal) {
+	n := a.laneCount(a.A, a.B, a.C)
+	a.frame(out, n)
+	for i := 0; i < n; i++ {
+		if a.W == arch.W4 {
+			out.SetLane(i, floatToBits(a.W, float64(float32(a.A.F(i))*float32(a.B.F(i))+float32(a.C.F(i)))))
+		} else {
+			out.SetLane(i, floatToBits(a.W, a.A.F(i)*a.B.F(i)+a.C.F(i)))
+		}
+	}
+}
+
+// The float32 fast path computes add, sub, mul and the fused forms on the
+// packed uint32 lanes, with no closure and no float64 round trip, when the
+// op width, every operand and the output are all 4-byte. It matches fbin and
+// fma bit for bit: float64 carries more than 2·24+2 significand bits, so
+// +, − or × of two float32 values computed in float64 and rounded once is
+// the float32 result, and the fused forms are the same float32 expression.
+
+// f32Lanes reports whether n computed lanes can take the float32 fast path:
+// the op width and the framed output are 4-byte, and each present operand
+// is 4-byte and holds the n lanes read (the generic path reads a lane past
+// an operand's count as 0).
+func (a *VecArgs) f32Lanes(n int, x, y, z *VecVal) bool {
+	if a.W != arch.W4 || a.Merge != nil && a.Merge.N > n && a.Merge.W != arch.W4 {
+		return false
+	}
+	for _, v := range [...]*VecVal{x, y, z} {
+		if v != nil && (v.W != arch.W4 || v.N < n) {
+			return false
+		}
+	}
+	return true
+}
+
+// f32 returns 4-byte lane i as a float32.
+func (v *VecVal) f32(i int) float32 {
+	return math.Float32frombits(uint32(v.d[i>>1] >> (uint(i&1) << 5)))
+}
+
+// setF32 stores f into 4-byte lane i.
+func (v *VecVal) setF32(i int, f float32) {
+	sh := uint(i&1) << 5
+	w := &v.d[i>>1]
+	*w = *w&^(0xFFFFFFFF<<sh) | uint64(math.Float32bits(f))<<sh
+}
+
+// f32bin is fbin's fast path for OpVFAdd, OpVFSub and OpVFMul. It reports
+// false, leaving out alone, when the lanes are not all float32.
+func (a *VecArgs) f32bin(op Op, out *VecVal) bool {
+	n := a.laneCount(a.A, a.B, nil)
+	if !a.f32Lanes(n, a.A, a.B, nil) {
+		return false
+	}
+	a.frame(out, n)
+	x, y := a.A, a.B
+	switch op {
+	case OpVFAdd:
+		for i := 0; i < n; i++ {
+			out.setF32(i, x.f32(i)+y.f32(i))
+		}
+	case OpVFSub:
+		for i := 0; i < n; i++ {
+			out.setF32(i, x.f32(i)-y.f32(i))
+		}
+	case OpVFMul:
+		for i := 0; i < n; i++ {
+			out.setF32(i, x.f32(i)*y.f32(i))
+		}
+	}
+	return true
+}
+
+// f32fma is fma's fast path. It reports false, leaving out alone, when the
+// lanes are not all float32.
+func (a *VecArgs) f32fma(out *VecVal) bool {
+	n := a.laneCount(a.A, a.B, a.C)
+	if !a.f32Lanes(n, a.A, a.B, a.C) {
+		return false
+	}
+	a.frame(out, n)
+	x, y, z := a.A, a.B, a.C
+	for i := 0; i < n; i++ {
+		out.setF32(i, x.f32(i)*y.f32(i)+z.f32(i))
+	}
+	return true
+}
+
 // ibin computes a lane-wise signed integer binary operation of A and B.
 func (a *VecArgs) ibin(out *VecVal, f func(x, y int64) int64) {
 	w := a.W
@@ -217,11 +307,17 @@ func EvalVecALU(op Op, args *VecArgs, out *VecVal) {
 		}
 
 	case OpVFAdd:
-		args.fbin(out, func(x, y float64) float64 { return x + y })
+		if !args.f32bin(op, out) {
+			args.fbin(out, func(x, y float64) float64 { return x + y })
+		}
 	case OpVFSub:
-		args.fbin(out, func(x, y float64) float64 { return x - y })
+		if !args.f32bin(op, out) {
+			args.fbin(out, func(x, y float64) float64 { return x - y })
+		}
 	case OpVFMul:
-		args.fbin(out, func(x, y float64) float64 { return x * y })
+		if !args.f32bin(op, out) {
+			args.fbin(out, func(x, y float64) float64 { return x * y })
+		}
 	case OpVFDiv:
 		args.fbin(out, func(x, y float64) float64 { return x / y })
 	case OpVFMax:
@@ -236,14 +332,8 @@ func EvalVecALU(op Op, args *VecArgs, out *VecVal) {
 		}
 	case OpVFMla, OpVFMulAdd:
 		// OpVFMla: dst = C + A·B (C is the old dst); OpVFMulAdd: dst = A·B + C.
-		n := args.laneCount(args.A, args.B, args.C)
-		args.frame(out, n)
-		for i := 0; i < n; i++ {
-			if w == arch.W4 {
-				out.SetLane(i, floatToBits(w, float64(float32(args.A.F(i))*float32(args.B.F(i))+float32(args.C.F(i)))))
-			} else {
-				out.SetLane(i, floatToBits(w, args.A.F(i)*args.B.F(i)+args.C.F(i)))
-			}
+		if !args.f32fma(out) {
+			args.fma(out)
 		}
 	case OpVAdd:
 		args.ibin(out, func(x, y int64) int64 { return x + y })

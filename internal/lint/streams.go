@@ -71,26 +71,15 @@ func (c *checker) streamUsed(pc, u int) bool {
 	return used
 }
 
-// checkFootprints enumerates the exact address sequence of every reachable
-// non-indirect configuration and checks each element against the declared
-// buffer extents. Indirect descriptors are skipped — their addresses depend
-// on runtime data. Enumeration is capped so linting stays cheap relative to
-// simulation.
+// checkFootprints checks the address sequence of every reachable
+// non-indirect configuration against the declared buffer extents. Indirect
+// descriptors are skipped — their addresses depend on runtime data.
+// Enumeration is capped so linting stays cheap relative to simulation.
 func (c *checker) checkFootprints() {
 	if len(c.opts.Extents) == 0 {
 		return
 	}
-	extents := append([]Extent(nil), c.opts.Extents...)
-	sort.Slice(extents, func(i, j int) bool { return extents[i].Base < extents[j].Base })
-	contains := func(addr uint64, n int64) bool {
-		// Rightmost extent starting at or below addr; Alloc never overlaps.
-		i := sort.Search(len(extents), func(i int) bool { return extents[i].Base > addr })
-		if i == 0 {
-			return false
-		}
-		e := extents[i-1]
-		return addr >= e.Base && addr+uint64(n) <= e.Base+uint64(e.Size)
-	}
+	extents := newExtentSet(c.opts.Extents)
 	cap := c.opts.MaxFootprintElems
 	if cap <= 0 {
 		cap = DefaultMaxFootprintElems
@@ -99,21 +88,64 @@ func (c *checker) checkFootprints() {
 		if site.Desc == nil || site.Desc.HasIndirect() || !c.g.Reach[site.EndPC] {
 			continue
 		}
-		it := descriptor.NewIterator(site.Desc, nil)
-		w := int64(site.Desc.Width)
-		for n := int64(0); n < cap; n++ {
-			e, ok := it.Next()
-			if !ok {
-				break
-			}
-			if !contains(e.Addr, w) {
-				c.errorf(site.EndPC, "stream u%d accesses 0x%x (element %d), outside any allocated buffer",
-					site.Stream, e.Addr, n)
-				break
-			}
-			if e.Last {
-				break
-			}
+		if addr, n, ok := extents.escape(site.Desc, cap); ok {
+			c.errorf(site.EndPC, "stream u%d accesses 0x%x (element %d), outside any allocated buffer",
+				site.Stream, addr, n)
 		}
 	}
+}
+
+// extentSet is the declared buffers sorted by base. Alloc never overlaps
+// them.
+type extentSet []Extent
+
+func newExtentSet(extents []Extent) extentSet {
+	s := append(extentSet(nil), extents...)
+	sort.Slice(s, func(i, j int) bool { return s[i].Base < s[j].Base })
+	return s
+}
+
+// contains reports whether one extent holds [addr, addr+n).
+func (s extentSet) contains(addr uint64, n int64) bool {
+	// Rightmost extent starting at or below addr.
+	i := sort.Search(len(s), func(i int) bool { return s[i].Base > addr })
+	if i == 0 {
+		return false
+	}
+	e := s[i-1]
+	return addr >= e.Base && addr+uint64(n) <= e.Base+uint64(e.Size)
+}
+
+// escape returns the first of d's first cap elements that lies outside
+// every extent, and its index. A modifier-free descriptor whose closed-form
+// byte hull fits one extent is not walked: every element lies in the hull.
+// Any other descriptor is walked, so the element found is the walk's.
+func (s extentSet) escape(d *descriptor.Descriptor, cap int64) (addr uint64, n int64, ok bool) {
+	if len(d.Static) == 0 {
+		f := descriptor.NewFootprint(d, cap)
+		if f.Elems > 0 && f.Min >= 0 && s.contains(uint64(f.Min), f.Max-f.Min+f.Width) {
+			return 0, 0, false
+		}
+	}
+	return s.walk(d, cap)
+}
+
+// walk enumerates d's first cap elements and returns the first that lies
+// outside every extent, and its index.
+func (s extentSet) walk(d *descriptor.Descriptor, cap int64) (uint64, int64, bool) {
+	it := descriptor.NewIterator(d, nil)
+	w := int64(d.Width)
+	for n := int64(0); n < cap; n++ {
+		e, ok := it.Next()
+		if !ok {
+			break
+		}
+		if !s.contains(e.Addr, w) {
+			return e.Addr, n, true
+		}
+		if e.Last {
+			break
+		}
+	}
+	return 0, 0, false
 }

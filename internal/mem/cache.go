@@ -118,6 +118,10 @@ type Cache struct {
 	lastTick int64
 	activity uint64
 
+	// pendingAt is the earliest at among pending (NoEvent when it is
+	// empty): Tick scans pending only from that cycle on.
+	pendingAt int64
+
 	Stats CacheStats
 }
 
@@ -138,6 +142,8 @@ func NewCache(cfg CacheConfig, lower Port) *Cache {
 		mshrs:   make([]*mshr, 0, cfg.MSHRs),
 		wbBuf:   make([]Req, 2*cfg.MSHRs),
 		pfBuf:   make([]uint64, 2*cfg.PrefetchQueue),
+
+		pendingAt: NoEvent,
 	}
 }
 
@@ -423,6 +429,7 @@ func (c *Cache) Snoop(now int64, line uint64, write bool) LineState {
 
 func (c *Cache) schedule(at int64, fn func(int64)) {
 	c.pending = append(c.pending, timedDone{at: at, fn: fn})
+	c.pendingAt = min(c.pendingAt, at)
 }
 
 // Tick implements Port.
@@ -462,14 +469,20 @@ func (c *Cache) Tick(now int64) {
 		c.accepted++
 		c.pfQueue = c.pfQueue[1:]
 	}
-	// Fire matured completions.
+	// Fire matured completions, in schedule order, once the earliest has
+	// matured.
+	if now < c.pendingAt {
+		return
+	}
 	kept := c.pending[:0]
+	c.pendingAt = NoEvent
 	for _, p := range c.pending {
 		if p.at <= now {
 			c.activity++
 			p.fn(now)
 		} else {
 			kept = append(kept, p)
+			c.pendingAt = min(c.pendingAt, p.at)
 		}
 	}
 	c.pending = kept
@@ -496,13 +509,7 @@ func (c *Cache) NextEventAt(now int64) int64 {
 	if len(c.wbQueue) > 0 || len(c.pfQueue) > 0 {
 		return now + 1
 	}
-	next := int64(NoEvent)
-	for _, p := range c.pending {
-		if p.at < next {
-			next = p.at
-		}
-	}
-	return next
+	return c.pendingAt
 }
 
 func (c *Cache) String() string {

@@ -45,9 +45,15 @@ type DRAM struct {
 	Inject func(now int64) int64
 }
 
+// dramChannel serves its queue in order, so the started requests are always
+// a prefix of it: started counts them, and doneAt is the earliest doneAt
+// among them (NoEvent when none is started). Tick scans for retirements
+// only from that cycle on.
 type dramChannel struct {
-	queue  []dramReq // arrival order, at most QueueDepth
-	freeAt int64     // cycle the data bus becomes free
+	queue   []dramReq // arrival order, at most QueueDepth
+	freeAt  int64     // cycle the data bus becomes free
+	started int
+	doneAt  int64
 }
 
 type dramReq struct {
@@ -58,7 +64,11 @@ type dramReq struct {
 
 // NewDRAM builds the DRAM model.
 func NewDRAM(cfg DRAMConfig) *DRAM {
-	return &DRAM{cfg: cfg, chans: make([]dramChannel, cfg.Channels)}
+	d := &DRAM{cfg: cfg, chans: make([]dramChannel, cfg.Channels)}
+	for i := range d.chans {
+		d.chans[i].doneAt = NoEvent
+	}
+	return d
 }
 
 func (d *DRAM) channelOf(line uint64) int {
@@ -83,15 +93,11 @@ func (d *DRAM) Access(now int64, r *Req) bool {
 func (d *DRAM) Tick(now int64) {
 	for i := range d.chans {
 		ch := &d.chans[i]
-		// Start the oldest unstarted request if the bus is free.
-		for j := range ch.queue {
-			dr := &ch.queue[j]
-			if dr.started {
-				continue
-			}
-			if ch.freeAt > now {
-				break // in-order service per channel
-			}
+		// Start the oldest unstarted request if the bus is free (in-order
+		// service per channel).
+		if ch.started < len(ch.queue) && ch.freeAt <= now {
+			dr := &ch.queue[ch.started]
+			ch.started++
 			dr.started = true
 			lat := int64(d.cfg.AccessLatency)
 			if d.Inject != nil {
@@ -99,6 +105,7 @@ func (d *DRAM) Tick(now int64) {
 			}
 			d.activity++
 			dr.doneAt = now + lat
+			ch.doneAt = min(ch.doneAt, dr.doneAt)
 			ch.freeAt = now + int64(d.cfg.LineService)
 			d.Stats.BusyCycles += uint64(d.cfg.LineService)
 			if dr.req.Write {
@@ -108,18 +115,23 @@ func (d *DRAM) Tick(now int64) {
 				d.Stats.Reads++
 				d.Stats.ReadBytes += arch.LineSize
 			}
-			break
+		}
+		if now < ch.doneAt {
+			continue
 		}
 		// Retire finished requests, oldest first. A completion callback
-		// may enqueue a new (unstarted) request behind the scan.
-		for j := 0; j < len(ch.queue); {
-			if dr := &ch.queue[j]; !dr.started || dr.doneAt > now {
+		// may enqueue a new (unstarted) request behind the started prefix.
+		ch.doneAt = NoEvent
+		for j := 0; j < ch.started; {
+			if dr := &ch.queue[j]; dr.doneAt > now {
+				ch.doneAt = min(ch.doneAt, dr.doneAt)
 				j++
 				continue
 			}
 			d.activity++
 			done := ch.queue[j].req.Done
 			ch.queue = append(ch.queue[:j], ch.queue[j+1:]...)
+			ch.started--
 			if done != nil {
 				done(now)
 			}

@@ -8,30 +8,18 @@ import "math"
 const NoEvent int64 = math.MaxInt64
 
 // NextEventAt returns a lower bound on the cycle of the DRAM's next state
-// change, assuming no new requests arrive. A channel with an unstarted head
+// change, assuming no new requests arrive. A channel with an unstarted
 // request acts when its data bus frees (never before now+1); started
-// requests retire at their doneAt. Requests queued behind an unstarted head
-// are served in order, so the head bounds them all.
+// requests retire from the channel's earliest doneAt. Requests queued behind
+// the first unstarted one are served in order, so it bounds them all.
 func (d *DRAM) NextEventAt(now int64) int64 {
 	next := NoEvent
 	for i := range d.chans {
 		ch := &d.chans[i]
-		for j := range ch.queue {
-			dr := &ch.queue[j]
-			if !dr.started {
-				t := ch.freeAt
-				if t <= now {
-					t = now + 1
-				}
-				if t < next {
-					next = t
-				}
-				break // in-order: later unstarted requests wait behind this one
-			}
-			if dr.doneAt < next {
-				next = dr.doneAt
-			}
+		if ch.started < len(ch.queue) {
+			next = min(next, max(ch.freeAt, now+1))
 		}
+		next = min(next, ch.doneAt)
 	}
 	return next
 }

@@ -24,16 +24,22 @@ type Program struct {
 // Len returns the instruction count.
 func (p *Program) Len() int { return len(p.Insts) }
 
-// At returns the instruction at pc. Out-of-range PCs (wrong-path fetch past
-// the end) return a halt so speculation dies out naturally. This masking is
-// a fetch-path convenience only: programs arriving from outside the Builder
-// (the wire decoder) have their branch-target ranges validated up front, so
-// a corrupt target is a positioned error there, never a silent halt here.
-func (p *Program) At(pc int) isa.Inst {
+// haltInst is what a pc outside the program holds: the implicit halt.
+var haltInst = isa.Halt()
+
+// At returns the instruction at pc, by pointer into the program so that no
+// caller copies it: the program is read-only while it runs, and callers
+// (the cycle core's ROB, the shared stepper) keep the pointer. Out-of-range
+// PCs (wrong-path fetch past the end) get a halt so speculation dies out
+// naturally. This masking is a fetch-path convenience only: programs
+// arriving from outside the Builder (the wire decoder) have their
+// branch-target ranges validated up front, so a corrupt target is a
+// positioned error there, never a silent halt here.
+func (p *Program) At(pc int) *isa.Inst {
 	if pc < 0 || pc >= len(p.Insts) {
-		return isa.Halt()
+		return &haltInst
 	}
-	return p.Insts[pc]
+	return &p.Insts[pc]
 }
 
 func (p *Program) String() string {

@@ -31,10 +31,10 @@ type Options struct {
 	SkipCheck bool
 	// Sanitize selects the streaming engine's shadow address tracker, which
 	// records every byte live streams touch and reports runtime collisions
-	// (Result.Collisions). UVE only; byte-granular, so meant for
-	// verification runs at test sizes, not timing experiments. SanitizeAuto
-	// elides tracking when the program's static safety certificate proves
-	// every dependence pair disjoint (see Result.SanitizerElided).
+	// (Result.Collisions). UVE only; it changes no timing, and costs
+	// wall-clock time on the order of the run itself. SanitizeAuto elides
+	// tracking when the program's static safety certificate proves every
+	// dependence pair disjoint (see Result.SanitizerElided).
 	Sanitize SanitizeMode
 	// Trace, when non-nil, receives typed instrumentation events from the
 	// core and (UVE) the streaming engine. Timing is unaffected: the same

@@ -45,7 +45,8 @@ step_race() {
 # Short native-fuzzing smoke (one -fuzz target per invocation): the
 # descriptor iterator and symbolic footprint, the cost model's closed-form
 # walk, the abstract-interpretation soundness oracle, the wire decoder and
-# round trip, and the store's entry decoder.
+# round trip, the store's entry decoder, and the stream sanitizer's page
+# table against its byte-map reference.
 step_fuzz_smoke() {
     $GO test -run '^$' -fuzz '^FuzzIterator$' -fuzztime 5s ./internal/descriptor
     $GO test -run '^$' -fuzz '^FuzzFootprint$' -fuzztime 5s ./internal/descriptor
@@ -54,6 +55,7 @@ step_fuzz_smoke() {
     $GO test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/wire
     $GO test -run '^$' -fuzz '^FuzzWireRoundTrip$' -fuzztime 5s ./internal/wire
     $GO test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 5s ./internal/store
+    $GO test -run '^$' -fuzz '^FuzzShadowEquivalence$' -fuzztime 5s ./internal/engine
 }
 
 # One Fig 8 regeneration through the benchmark harness — cheap proof that
