@@ -51,7 +51,7 @@ func (c *Core) commit() {
 			c.freePhys(e.dstClass, e.oldPhys)
 		}
 		if in.Op == isa.OpSSetVL {
-			c.effVecBytes = int(e.resVal) * int(in.W)
+			c.effVecBytes = int(e.res.Val) * int(in.W)
 			c.serializeInROB = false
 			if c.eng != nil {
 				c.eng.SetVL(c.effVecBytes)
@@ -181,7 +181,7 @@ func (c *Core) squashAfter(keep int) {
 			c.eng.SquashCtl(e.ctlUndo)
 		}
 		if e.dstClass != isa.ClassNone {
-			*c.ratOf(e.dstClass, e.dstArch) = e.oldPhys
+			c.regs[e.dstClass].rat[e.dstArch] = e.oldPhys
 			c.freePhys(e.dstClass, e.newPhys)
 		}
 		if e.inst.Op == isa.OpSSetVL {

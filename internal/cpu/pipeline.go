@@ -237,28 +237,18 @@ func (c *Core) tryRename(f fetchedInst, in *isa.Inst) BlockCause {
 	if produceSlot >= 0 && !c.eng.CanReserve(produceSlot) {
 		return BlockStreamStore
 	}
+	// Consumed chunks take vector temporaries. A vector destination counts
+	// even on a stream configuration or control µOp, which renames none.
 	needVec := len(consumes)
 	if in.Dst.Class == isa.ClassVec {
 		needVec++
 	}
-	if needVec > len(c.vecFree) {
+	if needVec > len(c.regs[isa.ClassVec].free) {
 		return BlockPRF
 	}
-	if in.HasDst() && in.Op.HasDataOperands() {
-		switch in.Dst.Class {
-		case isa.ClassInt:
-			if !in.Dst.IsZero() && len(c.intFree) == 0 {
-				return BlockPRF
-			}
-		case isa.ClassFP:
-			if len(c.fpFree) == 0 {
-				return BlockPRF
-			}
-		case isa.ClassPred:
-			if in.Dst.N != 0 && len(c.prFree) == 0 {
-				return BlockPRF
-			}
-		}
+	if cl := in.Dst.Class; cl != isa.ClassNone && cl != isa.ClassVec && !hardwired(in.Dst) &&
+		in.Op.HasDataOperands() && len(c.regs[cl].free) == 0 {
+		return BlockPRF
 	}
 
 	seq := c.seq
@@ -295,7 +285,7 @@ func (c *Core) tryRename(f fetchedInst, in *isa.Inst) BlockCause {
 			if r.Class == isa.ClassNone {
 				continue
 			}
-			e.srcPhys[i] = *c.ratOf(r.Class, r.N)
+			e.srcPhys[i] = c.regs[r.Class].rat[r.N]
 		}
 		// Perform the stream consumes: data is read into fresh physical
 		// registers at rename (paper A1: minimal load-to-use latency).
@@ -349,9 +339,9 @@ func (c *Core) tryRename(f fetchedInst, in *isa.Inst) BlockCause {
 			e.dstClass = in.Dst.Class
 			e.dstArch = in.Dst.N
 			e.newPhys = phys
-			rat := c.ratOf(in.Dst.Class, in.Dst.N)
-			e.oldPhys = *rat
-			*rat = phys
+			rat := c.regs[in.Dst.Class].rat
+			e.oldPhys = rat[in.Dst.N]
+			rat[in.Dst.N] = phys
 		}
 	}
 

@@ -60,8 +60,8 @@ func EvalInt(op Op, a, b uint64, imm int64) uint64 {
 	panic(fmt.Sprintf("EvalInt: not an integer op: %s", op.Name()))
 }
 
-// EvalCondBranch decides a scalar conditional branch.
-func EvalCondBranch(op Op, a, b uint64) bool {
+// evalCondBranch decides a scalar conditional branch.
+func evalCondBranch(op Op, a, b uint64) bool {
 	switch op {
 	case OpBeq:
 		return a == b
@@ -74,12 +74,12 @@ func EvalCondBranch(op Op, a, b uint64) bool {
 	case OpJ:
 		return true
 	}
-	panic(fmt.Sprintf("EvalCondBranch: not a scalar branch: %s", op.Name()))
+	panic(fmt.Sprintf("evalCondBranch: not a scalar branch: %s", op.Name()))
 }
 
-// EvalFP computes a scalar floating-point result (bits in, bits out; the
+// evalFP computes a scalar floating-point result (bits in, bits out; the
 // precision is selected by w).
-func EvalFP(op Op, w arch.ElemWidth, a, b, c uint64, imm int64) uint64 {
+func evalFP(op Op, w arch.ElemWidth, a, b, c uint64, imm int64) uint64 {
 	fa, fb, fc := bitsToFloat(w, a), bitsToFloat(w, b), bitsToFloat(w, c)
 	switch op {
 	case OpFLi:
@@ -124,13 +124,13 @@ func EvalFP(op Op, w arch.ElemWidth, a, b, c uint64, imm int64) uint64 {
 	case OpFtoI:
 		return uint64(int64(fa))
 	}
-	panic(fmt.Sprintf("EvalFP: not an FP op: %s", op.Name()))
+	panic(fmt.Sprintf("evalFP: not an FP op: %s", op.Name()))
 }
 
-// VecArgs carries the operand values of a vector ALU operation. The
-// operands are pointers into the caller's register file (or scratch); the
-// evaluation only reads them.
-type VecArgs struct {
+// vecArgs carries the operand values of a vector ALU operation. The
+// operands point into the caller's register file; the evaluation only reads
+// them.
+type vecArgs struct {
 	A, B, C *VecVal
 	Scalar  uint64 // FP or integer scalar operand bits (dup)
 	Pred    PredVal
@@ -146,7 +146,7 @@ type VecArgs struct {
 
 // laneCount determines the number of result lanes: the predicate limit
 // intersected with every present vector operand's valid lane count.
-func (a *VecArgs) laneCount(x, y, z *VecVal) int {
+func (a *vecArgs) laneCount(x, y, z *VecVal) int {
 	n := a.Pred.Limit(a.Lanes)
 	for _, v := range [...]*VecVal{x, y, z} {
 		if v != nil && v.present && v.N < n {
@@ -161,7 +161,7 @@ func (a *VecArgs) laneCount(x, y, z *VecVal) int {
 
 // frame prepares out for n computed lanes: a fresh vector, or a copy of the
 // merge operand when it has lanes beyond n to keep.
-func (a *VecArgs) frame(out *VecVal, n int) {
+func (a *vecArgs) frame(out *VecVal, n int) {
 	if a.Merge == nil || a.Merge.N <= n {
 		*out = NewVec(a.W, n)
 		return
@@ -171,7 +171,7 @@ func (a *VecArgs) frame(out *VecVal, n int) {
 }
 
 // fbin computes a lane-wise floating-point binary operation of A and B.
-func (a *VecArgs) fbin(out *VecVal, f func(x, y float64) float64) {
+func (a *vecArgs) fbin(out *VecVal, f func(x, y float64) float64) {
 	n := a.laneCount(a.A, a.B, nil)
 	a.frame(out, n)
 	for i := 0; i < n; i++ {
@@ -181,7 +181,7 @@ func (a *VecArgs) fbin(out *VecVal, f func(x, y float64) float64) {
 
 // fma computes the fused forms lane-wise: A·B + C, in float32 for 4-byte
 // lanes.
-func (a *VecArgs) fma(out *VecVal) {
+func (a *vecArgs) fma(out *VecVal) {
 	n := a.laneCount(a.A, a.B, a.C)
 	a.frame(out, n)
 	for i := 0; i < n; i++ {
@@ -204,7 +204,7 @@ func (a *VecArgs) fma(out *VecVal) {
 // the op width and the framed output are 4-byte, and each present operand
 // is 4-byte and holds the n lanes read (the generic path reads a lane past
 // an operand's count as 0).
-func (a *VecArgs) f32Lanes(n int, x, y, z *VecVal) bool {
+func (a *vecArgs) f32Lanes(n int, x, y, z *VecVal) bool {
 	if a.W != arch.W4 || a.Merge != nil && a.Merge.N > n && a.Merge.W != arch.W4 {
 		return false
 	}
@@ -230,7 +230,7 @@ func (v *VecVal) setF32(i int, f float32) {
 
 // f32bin is fbin's fast path for OpVFAdd, OpVFSub and OpVFMul. It reports
 // false, leaving out alone, when the lanes are not all float32.
-func (a *VecArgs) f32bin(op Op, out *VecVal) bool {
+func (a *vecArgs) f32bin(op Op, out *VecVal) bool {
 	n := a.laneCount(a.A, a.B, nil)
 	if !a.f32Lanes(n, a.A, a.B, nil) {
 		return false
@@ -256,7 +256,7 @@ func (a *VecArgs) f32bin(op Op, out *VecVal) bool {
 
 // f32fma is fma's fast path. It reports false, leaving out alone, when the
 // lanes are not all float32.
-func (a *VecArgs) f32fma(out *VecVal) bool {
+func (a *vecArgs) f32fma(out *VecVal) bool {
 	n := a.laneCount(a.A, a.B, a.C)
 	if !a.f32Lanes(n, a.A, a.B, a.C) {
 		return false
@@ -270,7 +270,7 @@ func (a *VecArgs) f32fma(out *VecVal) bool {
 }
 
 // ibin computes a lane-wise signed integer binary operation of A and B.
-func (a *VecArgs) ibin(out *VecVal, f func(x, y int64) int64) {
+func (a *vecArgs) ibin(out *VecVal, f func(x, y int64) int64) {
 	w := a.W
 	n := a.laneCount(a.A, a.B, nil)
 	a.frame(out, n)
@@ -279,11 +279,11 @@ func (a *VecArgs) ibin(out *VecVal, f func(x, y int64) int64) {
 	}
 }
 
-// EvalVecALU computes a vector ALU result into out, which must not alias an
+// evalVecALU computes a vector ALU result into out, which must not alias an
 // operand. Lanes beyond the computed count are absent (zeroing predication;
 // the baselines' predicated stores use the same predicate so trimmed lanes
 // are never observable, and UVE chunks carry their own lane counts).
-func EvalVecALU(op Op, args *VecArgs, out *VecVal) {
+func evalVecALU(op Op, args *vecArgs, out *VecVal) {
 	w := args.W
 	switch op {
 	case OpVDup, OpVDupX:
@@ -297,9 +297,6 @@ func EvalVecALU(op Op, args *VecArgs, out *VecVal) {
 		if n := args.Pred.Limit(args.Lanes); out.N > n {
 			out.truncate(n)
 		}
-	case OpVExtract:
-		*out = NewVec(w, 1)
-		out.SetLane(0, args.A.Lane(int(args.Scalar)))
 	case OpVBcast:
 		*out = NewVec(w, args.Pred.Limit(args.Lanes))
 		for i := 0; i < out.N; i++ {
@@ -362,15 +359,15 @@ func EvalVecALU(op Op, args *VecArgs, out *VecVal) {
 	case OpVXor:
 		args.ibin(out, func(x, y int64) int64 { return x ^ y })
 	default:
-		panic(fmt.Sprintf("EvalVecALU: not a vector ALU op: %s", op.Name()))
+		panic(fmt.Sprintf("evalVecALU: not a vector ALU op: %s", op.Name()))
 	}
 }
 
-// EvalVecHoriz reduces a vector's valid lanes to a single value (raw bits).
+// evalVecHoriz reduces a vector's valid lanes to a single value (raw bits).
 // Reducing zero lanes yields the operation's identity (0 for add, and the
 // first-lane default of 0 for max/min, matching hardware's behavior on an
 // all-false predicate).
-func EvalVecHoriz(op Op, w arch.ElemWidth, v *VecVal) uint64 {
+func evalVecHoriz(op Op, w arch.ElemWidth, v *VecVal) uint64 {
 	switch op {
 	case OpVFAddV, OpVFAddVF:
 		acc := 0.0
@@ -404,12 +401,12 @@ func EvalVecHoriz(op Op, w arch.ElemWidth, v *VecVal) uint64 {
 		}
 		return floatToBits(w, acc)
 	}
-	panic(fmt.Sprintf("EvalVecHoriz: not a horizontal op: %s", op.Name()))
+	panic(fmt.Sprintf("evalVecHoriz: not a horizontal op: %s", op.Name()))
 }
 
-// EvalWhilelt computes the whilelt predicate: active lanes l where
+// evalWhilelt computes the whilelt predicate: active lanes l where
 // idx + l < n, clamped to the architected lane count.
-func EvalWhilelt(idx, n uint64, lanes int) PredVal {
+func evalWhilelt(idx, n uint64, lanes int) PredVal {
 	remaining := int64(n) - int64(idx)
 	switch {
 	case remaining <= 0:

@@ -45,9 +45,9 @@ func randVec(r *rand.Rand, w arch.ElemWidth, n int) VecVal {
 	return v
 }
 
-// genericF32 computes op through the generic float64 path, as EvalVecALU
+// genericF32 computes op through the generic float64 path, as evalVecALU
 // did before the float32 fast path.
-func genericF32(op Op, args *VecArgs, out *VecVal) {
+func genericF32(op Op, args *vecArgs, out *VecVal) {
 	switch op {
 	case OpVFAdd:
 		args.fbin(out, func(x, y float64) float64 { return x + y })
@@ -82,7 +82,7 @@ func TestFloat32LanesMatchGeneric(t *testing.T) {
 		a := randVec(r, arch.W4, 1+r.Intn(maxLanes))
 		b := randVec(r, arch.W4, 1+r.Intn(maxLanes))
 		c := randVec(r, arch.W4, 1+r.Intn(maxLanes))
-		args := VecArgs{A: &a, B: &b, C: &c, Lanes: lanes, W: arch.W4, Pred: AllLanes}
+		args := vecArgs{A: &a, B: &b, C: &c, Lanes: lanes, W: arch.W4, Pred: AllLanes}
 		if r.Intn(2) == 0 {
 			args.Pred = PredVal{Active: r.Intn(lanes + 1)}
 		}
@@ -92,7 +92,7 @@ func TestFloat32LanesMatchGeneric(t *testing.T) {
 			args.Merge = &merge
 		}
 		var got, want VecVal
-		EvalVecALU(op, &args, &got)
+		evalVecALU(op, &args, &got)
 		genericF32(op, &args, &want)
 		if !sameVec(&got, &want) {
 			t.Fatalf("%s lanes=%d pred=%v merge=%v:\n a=%x\n b=%x\n c=%x\n fast    %x (N=%d)\n generic %x (N=%d)",
@@ -127,12 +127,12 @@ func TestFloat32LanesSpecialPairs(t *testing.T) {
 					c.SetLane(i, uint64(f32Specials[(start+i+7)%len(f32Specials)]))
 				}
 				for _, swap := range []bool{false, true} {
-					args := VecArgs{A: &a, B: &b, C: &c, Lanes: maxLanes, W: arch.W4, Pred: AllLanes}
+					args := vecArgs{A: &a, B: &b, C: &c, Lanes: maxLanes, W: arch.W4, Pred: AllLanes}
 					if swap {
 						args.A, args.B = &b, &a
 					}
 					var got, want VecVal
-					EvalVecALU(op, &args, &got)
+					evalVecALU(op, &args, &got)
 					genericF32(op, &args, &want)
 					if !sameVec(&got, &want) {
 						t.Fatalf("%s x=%#x swap=%v: fast %x, generic %x", op.Name(), x, swap, got.d, want.d)
@@ -153,12 +153,12 @@ func TestFloat32LanesOtherWidthsTakeGenericPath(t *testing.T) {
 	var absent VecVal
 	cases := []struct {
 		name string
-		args VecArgs
+		args vecArgs
 	}{
-		{"8-byte A", VecArgs{A: &a8, B: &b4, C: &c4, Lanes: 8, W: arch.W4, Pred: AllLanes}},
-		{"8-byte merge beyond the computed lanes", VecArgs{A: &a4, B: &b4, C: &c4, Lanes: 8, W: arch.W4, Pred: PredVal{Active: 3}, Merge: &m8}},
-		{"8-byte op width", VecArgs{A: &a4, B: &b4, C: &c4, Lanes: 8, W: arch.W8, Pred: AllLanes}},
-		{"absent B", VecArgs{A: &a4, B: &absent, C: &c4, Lanes: 8, W: arch.W4, Pred: AllLanes}},
+		{"8-byte A", vecArgs{A: &a8, B: &b4, C: &c4, Lanes: 8, W: arch.W4, Pred: AllLanes}},
+		{"8-byte merge beyond the computed lanes", vecArgs{A: &a4, B: &b4, C: &c4, Lanes: 8, W: arch.W4, Pred: PredVal{Active: 3}, Merge: &m8}},
+		{"8-byte op width", vecArgs{A: &a4, B: &b4, C: &c4, Lanes: 8, W: arch.W8, Pred: AllLanes}},
+		{"absent B", vecArgs{A: &a4, B: &absent, C: &c4, Lanes: 8, W: arch.W4, Pred: AllLanes}},
 	}
 	for _, tc := range cases {
 		for _, op := range []Op{OpVFAdd, OpVFSub, OpVFMul, OpVFMla, OpVFMulAdd} {
@@ -172,10 +172,10 @@ func TestFloat32LanesOtherWidthsTakeGenericPath(t *testing.T) {
 				t.Fatalf("%s %s: took the float32 fast path", tc.name, op.Name())
 			}
 			var got, want VecVal
-			EvalVecALU(op, &args, &got)
+			evalVecALU(op, &args, &got)
 			genericF32(op, &args, &want)
 			if !sameVec(&got, &want) {
-				t.Fatalf("%s %s: EvalVecALU %x, generic %x", tc.name, op.Name(), got.d, want.d)
+				t.Fatalf("%s %s: evalVecALU %x, generic %x", tc.name, op.Name(), got.d, want.d)
 			}
 		}
 	}

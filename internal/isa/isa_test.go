@@ -41,20 +41,20 @@ func TestEvalIntBasics(t *testing.T) {
 }
 
 func TestEvalCondBranch(t *testing.T) {
-	if !EvalCondBranch(OpBeq, 3, 3) || EvalCondBranch(OpBeq, 3, 4) {
+	if !evalCondBranch(OpBeq, 3, 3) || evalCondBranch(OpBeq, 3, 4) {
 		t.Error("beq wrong")
 	}
-	if !EvalCondBranch(OpBne, 3, 4) || EvalCondBranch(OpBne, 3, 3) {
+	if !evalCondBranch(OpBne, 3, 4) || evalCondBranch(OpBne, 3, 3) {
 		t.Error("bne wrong")
 	}
 	neg1 := ^uint64(0)
-	if !EvalCondBranch(OpBlt, neg1, 0) {
+	if !evalCondBranch(OpBlt, neg1, 0) {
 		t.Error("blt must be signed")
 	}
-	if !EvalCondBranch(OpBge, 0, neg1) {
+	if !evalCondBranch(OpBge, 0, neg1) {
 		t.Error("bge must be signed")
 	}
-	if !EvalCondBranch(OpJ, 0, 0) {
+	if !evalCondBranch(OpJ, 0, 0) {
 		t.Error("j must always be taken")
 	}
 }
@@ -64,19 +64,19 @@ func TestEvalFPBothWidths(t *testing.T) {
 		a := FloatBits(w, 1.5)
 		b := FloatBits(w, 2.5)
 		c := FloatBits(w, 10)
-		if got := BitsFloat(w, EvalFP(OpFAdd, w, a, b, 0, 0)); got != 4 {
+		if got := BitsFloat(w, evalFP(OpFAdd, w, a, b, 0, 0)); got != 4 {
 			t.Errorf("w=%v fadd = %v, want 4", w, got)
 		}
-		if got := BitsFloat(w, EvalFP(OpFMadd, w, a, b, c, 0)); got != 13.75 {
+		if got := BitsFloat(w, evalFP(OpFMadd, w, a, b, c, 0)); got != 13.75 {
 			t.Errorf("w=%v fmadd = %v, want 13.75", w, got)
 		}
-		if got := BitsFloat(w, EvalFP(OpFSqrt, w, FloatBits(w, 9), 0, 0, 0)); got != 3 {
+		if got := BitsFloat(w, evalFP(OpFSqrt, w, FloatBits(w, 9), 0, 0, 0)); got != 3 {
 			t.Errorf("w=%v fsqrt = %v, want 3", w, got)
 		}
-		if got := EvalFP(OpFLt, w, a, b, 0, 0); got != 1 {
+		if got := evalFP(OpFLt, w, a, b, 0, 0); got != 1 {
 			t.Errorf("w=%v flt = %d, want 1", w, got)
 		}
-		if got := BitsFloat(w, EvalFP(OpItoF, w, 7, 0, 0, 0)); got != 7 {
+		if got := BitsFloat(w, evalFP(OpItoF, w, 7, 0, 0, 0)); got != 7 {
 			t.Errorf("w=%v itof = %v, want 7", w, got)
 		}
 	}
@@ -85,7 +85,7 @@ func TestEvalFPBothWidths(t *testing.T) {
 func TestEvalFPSinglePrecisionRounds(t *testing.T) {
 	// 1/3 in float32 differs from float64; W4 math must round to float32.
 	third64 := 1.0 / 3.0
-	got := BitsFloat(arch.W4, EvalFP(OpFDiv, arch.W4, FloatBits(arch.W4, 1), FloatBits(arch.W4, 3), 0, 0))
+	got := BitsFloat(arch.W4, evalFP(OpFDiv, arch.W4, FloatBits(arch.W4, 1), FloatBits(arch.W4, 3), 0, 0))
 	if got == third64 {
 		t.Fatal("W4 division produced float64 precision")
 	}
@@ -103,16 +103,16 @@ func vec(w arch.ElemWidth, fs ...float64) *VecVal {
 	return &v
 }
 
-// eval runs EvalVecALU into a fresh value.
-func eval(op Op, args VecArgs) VecVal {
+// eval runs evalVecALU into a fresh value.
+func eval(op Op, args vecArgs) VecVal {
 	var out VecVal
-	EvalVecALU(op, &args, &out)
+	evalVecALU(op, &args, &out)
 	return out
 }
 
 func TestEvalVecALUFloat(t *testing.T) {
 	w := arch.W8
-	args := VecArgs{
+	args := vecArgs{
 		A: vec(w, 1, 2, 3, 4), B: vec(w, 10, 20, 30, 40),
 		Pred: AllLanes, Lanes: 8, W: w,
 	}
@@ -129,7 +129,7 @@ func TestEvalVecALUFloat(t *testing.T) {
 
 func TestEvalVecALUPredicateLimits(t *testing.T) {
 	w := arch.W4
-	args := VecArgs{
+	args := vecArgs{
 		A: vec(w, 1, 2, 3, 4), B: vec(w, 1, 1, 1, 1),
 		Pred: PredVal{Active: 2}, Lanes: 16, W: w,
 	}
@@ -141,7 +141,7 @@ func TestEvalVecALUPredicateLimits(t *testing.T) {
 
 func TestEvalVecMulAdd(t *testing.T) {
 	w := arch.W8
-	args := VecArgs{
+	args := vecArgs{
 		A: vec(w, 1, 2), B: vec(w, 3, 4), C: vec(w, 10, 10),
 		Pred: AllLanes, Lanes: 8, W: w,
 	}
@@ -155,7 +155,7 @@ func TestEvalVecIntSignedness(t *testing.T) {
 	w := arch.W4
 	a := VecFrom(w, []uint64{Truncate(w, uint64(int64(-5)&0xffffffff)), 3})
 	b := VecFrom(w, []uint64{2, 2})
-	args := VecArgs{A: &a, B: &b, Pred: AllLanes, Lanes: 16, W: w}
+	args := vecArgs{A: &a, B: &b, Pred: AllLanes, Lanes: 16, W: w}
 	out := eval(OpVMax, args)
 	if SignExtend(w, out.Lane(0)) != 2 {
 		t.Errorf("vmax lane0 = %d, want 2 (signed compare)", SignExtend(w, out.Lane(0)))
@@ -167,7 +167,7 @@ func TestEvalVecIntSignedness(t *testing.T) {
 }
 
 func TestEvalVecDup(t *testing.T) {
-	args := VecArgs{Scalar: FloatBits(arch.W8, 3.5), Pred: AllLanes, Lanes: 8, W: arch.W8}
+	args := vecArgs{Scalar: FloatBits(arch.W8, 3.5), Pred: AllLanes, Lanes: 8, W: arch.W8}
 	out := eval(OpVDup, args)
 	if out.N != 8 {
 		t.Fatalf("dup lanes %d, want 8", out.N)
@@ -180,7 +180,7 @@ func TestEvalVecDup(t *testing.T) {
 }
 
 func TestEvalVecMoveClips(t *testing.T) {
-	args := VecArgs{A: vec(arch.W8, 1, 2, 3, 4), Pred: PredVal{Active: 3}, Lanes: 8, W: arch.W8}
+	args := vecArgs{A: vec(arch.W8, 1, 2, 3, 4), Pred: PredVal{Active: 3}, Lanes: 8, W: arch.W8}
 	out := eval(OpVMove, args)
 	if out.N != 3 {
 		t.Fatalf("vmove lanes %d, want 3", out.N)
@@ -190,17 +190,17 @@ func TestEvalVecMoveClips(t *testing.T) {
 func TestEvalVecHoriz(t *testing.T) {
 	w := arch.W8
 	v := vec(w, 4, -1, 7, 2)
-	if got := BitsFloat(w, EvalVecHoriz(OpVFAddV, w, v)); got != 12 {
+	if got := BitsFloat(w, evalVecHoriz(OpVFAddV, w, v)); got != 12 {
 		t.Errorf("addv = %v, want 12", got)
 	}
-	if got := BitsFloat(w, EvalVecHoriz(OpVFMaxV, w, v)); got != 7 {
+	if got := BitsFloat(w, evalVecHoriz(OpVFMaxV, w, v)); got != 7 {
 		t.Errorf("maxv = %v, want 7", got)
 	}
-	if got := BitsFloat(w, EvalVecHoriz(OpVFMinV, w, v)); got != -1 {
+	if got := BitsFloat(w, evalVecHoriz(OpVFMinV, w, v)); got != -1 {
 		t.Errorf("minv = %v, want -1", got)
 	}
 	empty := VecVal{W: w}
-	if got := EvalVecHoriz(OpVFMaxV, w, &empty); got != 0 {
+	if got := evalVecHoriz(OpVFMaxV, w, &empty); got != 0 {
 		t.Errorf("maxv of empty = %#x, want 0", got)
 	}
 }
@@ -209,7 +209,7 @@ func TestEvalVecHorizSinglePrecisionOrder(t *testing.T) {
 	// float32 accumulation must not be done in float64.
 	w := arch.W4
 	v := vec(w, 1e8, 1, -1e8)
-	got := float32(BitsFloat(w, EvalVecHoriz(OpVFAddV, w, v)))
+	got := float32(BitsFloat(w, evalVecHoriz(OpVFAddV, w, v)))
 	want := (float32(1e8) + 1) - 1e8
 	if got != want {
 		t.Errorf("W4 addv = %v, want %v (float32 order)", got, want)
@@ -217,13 +217,13 @@ func TestEvalVecHorizSinglePrecisionOrder(t *testing.T) {
 }
 
 func TestEvalWhilelt(t *testing.T) {
-	if p := EvalWhilelt(0, 100, 16); p.Active != 16 {
+	if p := evalWhilelt(0, 100, 16); p.Active != 16 {
 		t.Errorf("full: %d, want 16", p.Active)
 	}
-	if p := EvalWhilelt(96, 100, 16); p.Active != 4 {
+	if p := evalWhilelt(96, 100, 16); p.Active != 4 {
 		t.Errorf("tail: %d, want 4", p.Active)
 	}
-	if p := EvalWhilelt(100, 100, 16); p.Active != 0 || p.Any() {
+	if p := evalWhilelt(100, 100, 16); p.Active != 0 || p.Any() {
 		t.Errorf("done: %v, want 0 inactive", p)
 	}
 }
@@ -240,7 +240,7 @@ func TestPredLimit(t *testing.T) {
 func TestQuickWhileltMatchesScalarLoop(t *testing.T) {
 	f := func(idx, n uint16, lanesSel uint8) bool {
 		lanes := []int{4, 8, 16}[lanesSel%3]
-		p := EvalWhilelt(uint64(idx), uint64(n), lanes)
+		p := evalWhilelt(uint64(idx), uint64(n), lanes)
 		count := 0
 		for l := 0; l < lanes; l++ {
 			if int(idx)+l < int(n) {

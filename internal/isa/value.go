@@ -19,7 +19,7 @@ import (
 //
 // A value is present or absent. Absent values (the zero VecVal, VecFrom of
 // no lanes, a VecVal{W: w} literal such as an all-inactive load's result)
-// are ignored when EvalVecALU intersects operand lane counts; NewVec always
+// are ignored when evalVecALU intersects operand lane counts; NewVec always
 // returns a present value, even of zero lanes.
 type VecVal struct {
 	W       arch.ElemWidth
