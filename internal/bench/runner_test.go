@@ -133,9 +133,9 @@ func TestRunnerPropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestScaleExtremes covers every kernel-ID branch of SizeFor at scales far
-// beyond DefaultSize: the intermediate size must never reach zero, and the
-// structural clamps must still hold.
+// TestScaleExtremes covers SizeFor at scales far beyond DefaultSize: the
+// intermediate size must never reach zero, and the size must stay on the
+// kernel's grid.
 func TestScaleExtremes(t *testing.T) {
 	scales := []int{2, 7, 1 << 20, math.MaxInt / 2, math.MaxInt, -3, 0}
 	for _, s := range scales {
@@ -145,23 +145,8 @@ func TestScaleExtremes(t *testing.T) {
 			if n <= 0 {
 				t.Fatalf("scale %d, kernel %s: non-positive size %d", s, k.ID, n)
 			}
-			switch k.ID {
-			case "D", "E", "N", "F", "G":
-				if n%16 != 0 || n < 32 {
-					t.Errorf("scale %d, %s: size %d violates lane blocking", s, k.ID, n)
-				}
-			case "K":
-				if n < 8 {
-					t.Errorf("scale %d, %s: size %d below 3-D grid minimum", s, k.ID, n)
-				}
-			case "L":
-				if n%4 != 0 || n < 16 {
-					t.Errorf("scale %d, %s: size %d violates NEON width", s, k.ID, n)
-				}
-			default:
-				if n < 16 {
-					t.Errorf("scale %d, %s: size %d below scalar minimum", s, k.ID, n)
-				}
+			if q := QuantizeSize(k, n); q != n {
+				t.Errorf("scale %d, %s: size %d is off the kernel's grid (it quantizes to %d)", s, k.ID, n, q)
 			}
 			if s <= 1 && n != k.DefaultSize {
 				t.Errorf("scale %d, %s: size %d, want DefaultSize %d", s, k.ID, n, k.DefaultSize)

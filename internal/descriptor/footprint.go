@@ -162,11 +162,35 @@ func NewFootprint(d *Descriptor, maxElems int64) *Footprint {
 	return enumFootprint(d, maxElems)
 }
 
-// affineFootprint handles modifier-free descriptors symbolically: the address
-// of element (i0, ..., in) is Base + (O0 + i0·S0 + Σk≥1 (Ok+ik)·Sk)·Width,
-// so each combination of outer indices contributes one arithmetic run of
-// dimension-0, and the byte hull follows per-dimension from the stride signs
-// without any enumeration.
+// AffineHull returns the byte range [lo, hi] of a modifier-free
+// descriptor's element start addresses. The address of element
+// (i0, ..., in) is Base + (O0 + i0·S0 + Σk≥1 (Ok+ik)·Sk)·Width, so the hull
+// follows per dimension from the stride signs, without enumeration. ok is
+// false when d has a modifier or an empty dimension.
+func (d *Descriptor) AffineHull() (lo, hi int64, ok bool) {
+	if len(d.Static) > 0 || d.HasIndirect() || len(d.Dims) == 0 {
+		return 0, 0, false
+	}
+	var eMin, eMax int64
+	for k, dim := range d.Dims {
+		if dim.Size <= 0 {
+			return 0, 0, false
+		}
+		// Dimension 0 contributes O0 + i0·S0; dimensions k ≥ 1 (Ok+ik)·Sk.
+		a, b := dim.Offset*dim.Stride, (dim.Offset+dim.Size-1)*dim.Stride
+		if k == 0 {
+			a, b = dim.Offset, dim.Offset+(dim.Size-1)*dim.Stride
+		}
+		eMin += min(a, b)
+		eMax += max(a, b)
+	}
+	w := int64(d.Width)
+	return int64(d.Base) + eMin*w, int64(d.Base) + eMax*w, true
+}
+
+// affineFootprint handles modifier-free descriptors symbolically: each
+// combination of outer indices contributes one arithmetic run of
+// dimension 0, and the byte hull is AffineHull's.
 func affineFootprint(d *Descriptor, maxElems int64) *Footprint {
 	w := int64(d.Width)
 	f := &Footprint{Width: w}
@@ -190,26 +214,7 @@ func affineFootprint(d *Descriptor, maxElems int64) *Footprint {
 		}
 	}
 	f.Elems = total
-
-	// Exact symbolic hull over element indices, one dimension at a time.
-	eMin := d.Dims[0].Offset
-	eMax := eMin
-	if s := (d.Dims[0].Size - 1) * d.Dims[0].Stride; s < 0 {
-		eMin += s
-	} else {
-		eMax += s
-	}
-	for _, dim := range d.Dims[1:] {
-		a := dim.Offset * dim.Stride
-		b := (dim.Offset + dim.Size - 1) * dim.Stride
-		if a > b {
-			a, b = b, a
-		}
-		eMin += a
-		eMax += b
-	}
-	f.Min = int64(d.Base) + eMin*w
-	f.Max = int64(d.Base) + eMax*w
+	f.Min, f.Max, _ = d.AffineHull()
 
 	if combos > maxElems || combos > maxFootprintSpans*int64(len(d.Dims)+1) {
 		f.Reason = fmt.Sprintf("%d outer-dimension combinations exceed the span budget", combos)

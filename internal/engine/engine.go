@@ -228,8 +228,11 @@ type stream struct {
 	configDone        bool // End part committed
 	coreSawEnd        bool // a consume of the Last chunk has committed
 	pendingStoreLines int
-	minAddr, maxAddr  uint64 // conservative footprint for store/load overlap checks
-	unbounded         bool   // indirect patterns: footprint unknown
+	// hull reports that [minAddr, maxAddr] bounds every byte the stream
+	// writes: the cheap reject of StoreMayOverlap. Only a modifier-free
+	// store stream has one.
+	hull             bool
+	minAddr, maxAddr uint64
 }
 
 func (s *stream) occupancy() int64 { return s.genPos - s.commitPos }
@@ -456,12 +459,7 @@ func (e *Engine) SquashConfigPart(tok *ConfigToken) {
 	}
 	tok.valid = false
 	if !tok.processed {
-		for i := len(e.scrob) - 1; i >= 0; i-- {
-			if e.scrob[i] == tok {
-				e.scrob = append(e.scrob[:i], e.scrob[i+1:]...)
-				break
-			}
-		}
+		e.dropScrob(tok)
 		return
 	}
 	u := tok.part.Stream
@@ -474,17 +472,15 @@ func (e *Engine) SquashConfigPart(tok *ConfigToken) {
 		e.dropScrob(tok)
 		return
 	}
-	if tok.processed {
-		if tok.part.End {
-			// The stream had been fully configured and possibly started
-			// generating: put it back into configuring state; the data it
-			// fetched is dropped.
-			e.deconfigure(tok.slot, tok.restoreBuilding)
-		} else {
-			parts := e.building[tok.slot]
-			if len(parts) > 0 && parts[len(parts)-1] == tok.part {
-				e.building[tok.slot] = parts[:len(parts)-1]
-			}
+	if tok.part.End {
+		// The stream had been fully configured and possibly started
+		// generating: put it back into configuring state; the data it
+		// fetched is dropped.
+		e.deconfigure(tok.slot, tok.restoreBuilding)
+	} else {
+		parts := e.building[tok.slot]
+		if len(parts) > 0 && parts[len(parts)-1] == tok.part {
+			e.building[tok.slot] = parts[:len(parts)-1]
 		}
 	}
 	e.dropScrob(tok)
@@ -516,9 +512,6 @@ func (e *Engine) deconfigure(slot int, building []*isa.StreamCfgPart) {
 }
 
 func (e *Engine) dropScrob(tok *scrobEntry) {
-	if !tok.part.Start && tok.part.End {
-		_ = tok // keep symmetric structure; removal below covers all cases
-	}
 	for i := len(e.scrob) - 1; i >= 0; i-- {
 		if e.scrob[i] == tok {
 			e.scrob = append(e.scrob[:i], e.scrob[i+1:]...)
@@ -614,7 +607,9 @@ func (e *Engine) configure(slot int, d *descriptor.Descriptor) {
 	s.lanes = arch.LanesFor(e.vecBytes, d.Width)
 	s.level = d.Level
 	s.fifo = make([]chunk, e.cfg.FIFODepth)
-	s.computeFootprint()
+	if lo, hi, ok := d.AffineHull(); ok && d.Kind == descriptor.Store {
+		s.hull, s.minAddr, s.maxAddr = true, uint64(lo), uint64(hi)+uint64(d.Width)-1
+	}
 	s.origins = descriptor.NewOriginReader(e.hier.Mem.Read)
 	for _, ou := range d.Origins() {
 		oslot, ok := e.StreamFor(ou)
@@ -632,61 +627,6 @@ func (e *Engine) configure(slot int, d *descriptor.Descriptor) {
 	if e.tracing {
 		e.rec.Emit(trace.Event{Cycle: e.now, Kind: trace.EvStreamConfig, Arg0: int64(slot), Arg1: int64(s.u)})
 	}
-}
-
-// computeFootprint derives a conservative [min,max] byte range the stream
-// can touch, used for scalar-load vs output-stream overlap checks. Indirect
-// patterns are unbounded.
-func (s *stream) computeFootprint() {
-	if s.desc.HasIndirect() {
-		s.unbounded = true
-		return
-	}
-	lo, hi := int64(0), int64(0)
-	for k, d := range s.desc.Dims {
-		size := d.Size
-		// Static modifiers can grow or shift a dimension; widen the bound
-		// by |disp|·count on the affected parameter.
-		for _, m := range s.desc.Static {
-			if m.Bound-1 != k {
-				continue
-			}
-			g := m.Disp
-			if g < 0 {
-				g = -g
-			}
-			c := m.Count
-			if c <= 0 {
-				c = 1 << 20
-			}
-			switch m.Target {
-			case descriptor.TargetSize:
-				size += g * c
-			case descriptor.TargetOffset, descriptor.TargetStride:
-				lo -= g * c
-				hi += g * c
-			}
-		}
-		if size <= 0 {
-			continue
-		}
-		// Element-index contribution range of dimension k (paper eq. (1)):
-		// dim 0 contributes O0 + i·S0; dims k≥1 contribute (Ok+i)·Sk.
-		var a, b int64
-		if k == 0 {
-			a, b = d.Offset, d.Offset+(size-1)*d.Stride
-		} else {
-			a, b = d.Offset*d.Stride, (d.Offset+size-1)*d.Stride
-		}
-		if a > b {
-			a, b = b, a
-		}
-		lo += a
-		hi += b
-	}
-	w := int64(s.w)
-	s.minAddr = uint64(int64(s.desc.Base) + lo*w)
-	s.maxAddr = uint64(int64(s.desc.Base) + hi*w + w - 1)
 }
 
 // trafficOf snapshots a configured stream's committed work.

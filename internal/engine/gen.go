@@ -721,8 +721,8 @@ func (e *Engine) StoreMayOverlap(addr uint64, size int, beforeStamp int64) bool 
 		if s.kind != descriptor.Store {
 			continue
 		}
-		// Cheap reject on the whole-pattern footprint first.
-		if !s.unbounded && (addr > s.maxAddr || end < s.minAddr) {
+		// Cheap reject on the whole pattern's hull first.
+		if s.hull && (addr > s.maxAddr || end < s.minAddr) {
 			continue
 		}
 		w := uint64(s.w)
@@ -937,7 +937,9 @@ func (e *Engine) drainStore(now int64) {
 		return
 	}
 	sl := e.storeQ[0]
-	e.storeReq = mem.Req{Line: sl.line, Write: true, MinLevel: storeLevel(sl.level)}
+	// The paper's implementation issues stream stores to the L1; the Fig 11
+	// sweep moves them with the configured level.
+	e.storeReq = mem.Req{Line: sl.line, Write: true, MinLevel: sl.level}
 	if !e.hier.Access(now, &e.storeReq) {
 		return
 	}
@@ -945,11 +947,6 @@ func (e *Engine) drainStore(now int64) {
 	sl.s.pendingStoreLines--
 	e.activity++
 }
-
-// storeLevel maps a stream's configured level onto the store path. The
-// paper's implementation issues stream stores to the L1; the Fig 11 sweep
-// moves them with the configured level.
-func storeLevel(l arch.CacheLevel) arch.CacheLevel { return l }
 
 // advanceEngineConsumed commits chunks of origin streams as their values
 // are settled by dependent streams' address generation.

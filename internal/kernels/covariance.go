@@ -22,6 +22,8 @@ var KCovariance = register(&Kernel{
 	SVEVectorized: false,
 	DefaultSize:   48,
 	MaxSize:       640,
+	MinSize:       32,
+	SizeStep:      16,
 	Build:         buildCovariance,
 })
 

@@ -25,6 +25,7 @@ var KFloyd = register(&Kernel{
 	SVEVectorized: false,
 	DefaultSize:   64,
 	MaxSize:       83,
+	MinSize:       16,
 	Build:         buildFloyd,
 })
 

@@ -139,6 +139,8 @@ var KGemm = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   96,
 	MaxSize:       544,
+	MinSize:       32,
+	SizeStep:      16,
 	Build:         buildGemm,
 })
 
@@ -176,6 +178,8 @@ var K3mm = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   64,
 	MaxSize:       352,
+	MinSize:       32,
+	SizeStep:      16,
 	Build:         build3mm,
 })
 

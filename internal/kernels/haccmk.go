@@ -21,6 +21,8 @@ var KHaccmk = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   256,
 	MaxSize:       6372,
+	MinSize:       16,
+	SizeStep:      4,
 	Build:         buildHaccmk,
 })
 
@@ -189,6 +191,7 @@ var KKnn = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   512,
 	MaxSize:       74_816,
+	MinSize:       16,
 	Build:         buildKnn,
 })
 

@@ -22,6 +22,7 @@ var KIrsmk = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   24,
 	MaxSize:       40,
+	MinSize:       8,
 	Build:         buildIrsmk,
 })
 

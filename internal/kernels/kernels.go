@@ -154,6 +154,10 @@ type Kernel struct {
 	// allocate at most 64 MB and take at most 0.5 s on a 2-core host. A
 	// request therefore cannot make the service build an unbounded kernel.
 	MaxSize int
+	// MinSize and SizeStep are the kernel's size grid: its builders accept
+	// a size of at least MinSize that is a multiple of SizeStep (0 means
+	// any). bench.QuantizeSize snaps sizes onto it.
+	MinSize, SizeStep int
 	// Build constructs the kernel against h for the given variant and
 	// problem size.
 	Build func(h *mem.Hierarchy, v Variant, size int) *Instance

@@ -161,6 +161,7 @@ var KMamr = register(&Kernel{
 	SVEVectorized: false,
 	DefaultSize:   192,
 	MaxSize:       2208,
+	MinSize:       16,
 	Build:         buildMamr(mamrFull),
 })
 
@@ -170,6 +171,7 @@ var KMamrDiag = register(&Kernel{
 	SVEVectorized: false,
 	DefaultSize:   192,
 	MaxSize:       2206,
+	MinSize:       16,
 	Build:         buildMamr(mamrDiag),
 })
 
@@ -179,5 +181,6 @@ var KMamrInd = register(&Kernel{
 	SVEVectorized: false,
 	DefaultSize:   128,
 	MaxSize:       1875,
+	MinSize:       16,
 	Build:         buildMamr(mamrInd),
 })

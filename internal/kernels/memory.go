@@ -28,6 +28,7 @@ var KMemcpy = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   1 << 16,
 	MaxSize:       2_105_545,
+	MinSize:       16,
 	Build:         buildMemcpy,
 })
 
@@ -68,6 +69,7 @@ var KSaxpy = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   1 << 15,
 	MaxSize:       1_630_208,
+	MinSize:       16,
 	Build:         buildSaxpy,
 })
 
@@ -135,6 +137,7 @@ var KStream = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   1 << 15,
 	MaxSize:       814_080,
+	MinSize:       16,
 	Build:         buildStream,
 })
 

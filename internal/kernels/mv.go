@@ -217,6 +217,8 @@ var KMvt = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   192,
 	MaxSize:       2192,
+	MinSize:       32,
+	SizeStep:      16,
 	Build:         buildMvt,
 })
 
@@ -287,6 +289,8 @@ var KGemver = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   160,
 	MaxSize:       1728,
+	MinSize:       32,
+	SizeStep:      16,
 	Build:         buildGemver,
 })
 

@@ -18,6 +18,7 @@ var KJacobi1D = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   1 << 15,
 	MaxSize:       1_352_083,
+	MinSize:       16,
 	Build:         buildJacobi1D,
 })
 
@@ -111,6 +112,7 @@ var KJacobi2D = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   128,
 	MaxSize:       1153,
+	MinSize:       16,
 	Build:         buildJacobi2D,
 })
 
@@ -292,6 +294,7 @@ var KSeidel = register(&Kernel{
 	SVEVectorized: false,
 	DefaultSize:   64,
 	MaxSize:       1739,
+	MinSize:       16,
 	Build:         buildSeidel,
 })
 

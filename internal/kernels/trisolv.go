@@ -22,6 +22,7 @@ var KTrisolv = register(&Kernel{
 	SVEVectorized: true,
 	DefaultSize:   128,
 	MaxSize:       2205,
+	MinSize:       16,
 	Build:         buildTrisolv,
 })
 

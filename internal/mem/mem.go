@@ -13,6 +13,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/arch"
 )
@@ -94,19 +95,11 @@ func (m *Memory) Bytes(e Extent) []byte {
 // FNV-1a — the architectural-state digest the resilience oracle compares
 // between faulted and fault-free runs.
 func (m *Memory) HashExtents() uint64 {
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
+	h := fnv.New64a()
 	for _, e := range m.extents {
-		for i := int64(0); i < e.Size; i++ {
-			var b byte
-			if a := e.Base + uint64(i); a >= m.base && a-m.base < uint64(len(m.data)) {
-				b = m.data[a-m.base]
-			}
-			h ^= uint64(b)
-			h *= prime
-		}
+		h.Write(m.Bytes(e))
 	}
-	return h
+	return h.Sum64()
 }
 
 // MapPage marks the page containing addr as mapped (used by the page-fault
